@@ -7,9 +7,8 @@ the positivity, contraction and normalization properties that tie the three
 routes together.
 """
 
-from ._accel import USING_NUMBA
 from .conventions import CONVENTIONS, CONVENTIONS_HASH
 
 __version__ = "0.1.0"
 
-__all__ = ["USING_NUMBA", "CONVENTIONS", "CONVENTIONS_HASH", "__version__"]
+__all__ = ["CONVENTIONS", "CONVENTIONS_HASH", "__version__"]

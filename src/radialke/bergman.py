@@ -22,7 +22,7 @@ verifies this guard on every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_eps_weight, divisor_frame_log,
-                       divisor_log_weight, fs_weight)
+                       divisor_log_weight, fs_weight, readonly_array)
 from .kernels import affine_lse_profile, affine_lse_quadrature, logsumexp
 from .masolver import ke_problem, solve_ke_ode
 from . import ricci as ricci_mod
@@ -187,9 +187,7 @@ class BergmanLevel:
     kappa: RadialWeight
 
     def __post_init__(self):
-        a = np.asarray(self.log_gram, dtype=np.float64)
-        a.setflags(write=False)
-        object.__setattr__(self, "log_gram", a)
+        object.__setattr__(self, "log_gram", readonly_array(self.log_gram))
 
     @property
     def level(self) -> int:
@@ -329,10 +327,8 @@ def run_levels(chain: WeightChain, ell_max: int,
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
     wide = chain.grid.widened(quadrature_halfwidth(chain, ell_max))
-    chain_w = WeightChain(chain.k, chain.p, chain.m, chain.divisor, wide,
-                          chain.tau.resampled(wide),
-                          chain.target.resampled(wide), chain.eps,
-                          chain.route_agreement)
+    chain_w = replace(chain, grid=wide, tau=chain.tau.resampled(wide),
+                      target=chain.target.resampled(wide))
     run = BergmanRun(chain_w, wide)
     t = wide.nodes
     logw = np.log(wide.trapezoid_weights)

@@ -25,12 +25,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, bergman, family as family_mod, ricci as ricci_mod, suite
-from ._accel import USING_NUMBA
 from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import ke_problem, regularized_diagonal, solve_ke_ode
+from .masolver import (closed_form_error, ke_problem, regularized_diagonal,
+                       solve_ke_ode)
 
 # flat config schema: key -> (applies-to kinds, type, default)
 CONFIG_KEYS = {
@@ -101,6 +101,10 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Cheap structural validation before any compute."""
+    for key, value in cfg.items():
+        if CONFIG_KEYS[key][1] is float and value is not None \
+                and not math.isfinite(value):
+            raise ConfigurationError(f"config key {key!r} must be finite, got {value}")
     if cfg.get("N", 3) < 3:
         raise ConfigurationError(f"config key 'N' must be >= 3, got {cfg['N']}")
     if cfg.get("T", 1.0) <= 0:
@@ -146,10 +150,7 @@ def _run_solve(cfg: dict, out: str) -> dict:
                 "mass_defect_small": rep.mass_defect <= 1e-6}
     oracle = None
     if D.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0 and cfg["k"] > 2:
-        ref = ((cfg["k"] - 2.0) * np.logaddexp(0.0, grid.nodes)
-               + math.log((cfg["k"] - 2.0) / (2.0 * math.pi)))
-        win = grid.window(-grid.half_width + 2.0, grid.half_width - 2.0)
-        oracle = float(np.max(np.abs(rep.solution.values - ref)[win]))
+        oracle = closed_form_error(rep.solution, cfg["k"])
         verdicts["closed_form_oracle"] = oracle <= 1e-6
     diagonal_summary = None
     if cfg.get("delta_schedule") or cfg.get("eps_schedule"):
@@ -251,12 +252,10 @@ def _run_family(cfg: dict, out: str) -> dict:
     write_json(os.path.join(out, "positivity.json"), cert | {"uniform_bound": bound})
 
     ns_rows = []
-    top_degree = recipe.k + float(recipe.divisor.total) - 2.0
     for m in (1, 2, 3):
-        top = math.floor(m * top_degree + 1e-9)
-        for j in range(0, top + 1):
-            for idx, s in enumerate(fam.base_nodes):
-                ns_rows.append((m, j, s, -family_mod.ns_log_norm(j, m, idx, fam)))
+        for j in family_mod.section_window(fam, m):
+            values = family_mod.ns_convexity_check(j, m, fam)["values"]
+            ns_rows += [(m, j, s, v) for s, v in zip(fam.base_nodes, values)]
     write_csv(os.path.join(out, "ns_trace.csv"),
               ["m", "j", "s", "neg_log_norm"], ns_rows)
     return {"joint_precheck": fam.joint_positive,
@@ -292,7 +291,6 @@ def run(cfg: dict) -> tuple[dict, int]:
         "convention_hash": CONVENTIONS_HASH,
         "versions": {"radialke": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
-        "using_numba": USING_NUMBA,
     }
     code = 0
     try:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, fs_weight,
-                       make_grid)
+                       make_grid, readonly_array)
 from .kernels import logsumexp
 from .masolver import SolveReport, ke_problem, solve_ke_ode
 
@@ -157,9 +157,7 @@ class FiberFamily:
     joint_positive: bool
 
     def __post_init__(self):
-        b = np.asarray(self.base_nodes, dtype=np.float64)
-        b.setflags(write=False)
-        object.__setattr__(self, "base_nodes", b)
+        object.__setattr__(self, "base_nodes", readonly_array(self.base_nodes))
 
     @property
     def divisor(self) -> DivisorData:
@@ -168,9 +166,6 @@ class FiberFamily:
     @property
     def base_count(self) -> int:
         return self.base_nodes.size
-
-    def twist_matrix(self) -> np.ndarray:
-        return np.column_stack([w.values for w in self.twists])
 
 
 def default_base_nodes() -> np.ndarray:
@@ -230,9 +225,7 @@ class RelativePotential:
 
     def __post_init__(self):
         for name in ("weights", "potentials"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
 
 
 def solve_fiberwise(family: FiberFamily, tol: float = 1e-11) -> RelativePotential:
@@ -289,6 +282,17 @@ def uniform_sup_check(rel: RelativePotential,
 # fiberwise section norms
 # ---------------------------------------------------------------------------
 
+def section_window(family: FiberFamily, m: int) -> range:
+    """Exponents ``j`` of the sections ``z^j`` of the m-fold adjoint bundle.
+
+    The top exponent is the bundle degree ``m (k + divisor total - 2)``,
+    rounded down as usual for fractional divisor coefficients.
+    """
+    recipe = family.recipe
+    top = math.floor(m * (recipe.k + float(recipe.divisor.total) - 2.0) + 1e-9)
+    return range(0, top + 1)
+
+
 def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     """Log of the fiberwise m-th root-integral section norm.
 
@@ -303,17 +307,15 @@ def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     """
     if m < 1:
         raise ConfigurationError(f"root order m must be >= 1, got {m}")
-    recipe = family.recipe
-    # rounded-down degree of the m-fold adjoint bundle, as usual for
-    # fractional divisor coefficients
-    top = math.floor(m * (recipe.k + float(recipe.divisor.total) - 2.0) + 1e-9)
-    if top < 0:
+    window = section_window(family, m)
+    if not window:
         raise ConfigurationError(f"adjoint bundle has no sections at m = {m}")
-    if not (0 <= j <= top):
-        raise ConfigurationError(f"exponent {j} outside section window [0, {top}]")
+    if j not in window:
+        raise ConfigurationError(
+            f"exponent {j} outside section window [0, {window[-1]}]")
     if not (0 <= fiber_index < family.base_count):
         raise ConfigurationError(f"fiber index {fiber_index} out of range")
-    a0 = float(recipe.divisor.coefficient("zero"))
+    a0 = float(family.divisor.coefficient("zero"))
     twist = family.twists[fiber_index]
     grid = family.fiber_grid
     t = grid.nodes

@@ -35,7 +35,8 @@ Location = Literal["zero", "infinity"]
 TOL_CURV = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly_array(a: np.ndarray) -> np.ndarray:
+    """``a`` as float64 with writes refused; a float64 array is frozen in place."""
     out = np.asarray(a, dtype=np.float64)
     out.setflags(write=False)
     return out
@@ -53,7 +54,7 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
+        object.__setattr__(self, "nodes", readonly_array(self.nodes))
 
     @property
     def node_count(self) -> int:
@@ -127,12 +128,12 @@ class RadialWeight:
     curvature: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        v = _readonly(self.values)
+        v = readonly_array(self.values)
         if v.shape != self.grid.nodes.shape:
             raise ConfigurationError("weight values do not match the grid")
         object.__setattr__(self, "values", v)
         if self.curvature is not None:
-            c = _readonly(self.curvature)
+            c = readonly_array(self.curvature)
             if c.shape != v.shape:
                 raise ConfigurationError("curvature array does not match the grid")
             object.__setattr__(self, "curvature", c)
@@ -275,11 +276,6 @@ def linear_weight(a: float, grid: RadialGrid) -> RadialWeight:
     """
     a = float(a)
     return RadialWeight(grid, a * grid.nodes, a, a, a,
-                        np.zeros(grid.node_count))
-
-
-def constant_weight(c: float, grid: RadialGrid) -> RadialWeight:
-    return RadialWeight(grid, np.full(grid.node_count, float(c)), 0.0, 0.0, 0.0,
                         np.zeros(grid.node_count))
 
 

@@ -1,4 +1,4 @@
-"""Hot numeric kernels, each with a numba build and a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
 Everything downstream funnels its inner loops through three operations:
 
@@ -17,23 +17,17 @@ Everything downstream funnels its inner loops through three operations:
     Gram norms span hundreds of orders of magnitude at high level, so linear
     scale is never used.
 
-The numba twins run the same arithmetic with explicit loops; agreement is
-checked by the test suite at 1e-12 relative tolerance.
+The test suite checks each kernel against a dense or direct oracle at 1e-12
+relative tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import USING_NUMBA, njit
 
-
-# ---------------------------------------------------------------------------
-# pure numpy path
-# ---------------------------------------------------------------------------
-
-def tridiag_solve_numpy(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                        b: np.ndarray) -> np.ndarray:
+def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system by the Thomas algorithm.
 
     ``dl[i]`` multiplies ``x[i-1]`` (``dl[0]`` unused), ``du[i]`` multiplies
@@ -53,90 +47,19 @@ def tridiag_solve_numpy(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     return x
 
 
-def affine_lse_profile_numpy(t: np.ndarray, slopes: np.ndarray,
-                             offsets: np.ndarray) -> np.ndarray:
+def affine_lse_profile(t: np.ndarray, slopes: np.ndarray,
+                       offsets: np.ndarray) -> np.ndarray:
     m = np.outer(t, slopes) + offsets[None, :]
     mx = m.max(axis=1)
     return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
 
 
-def affine_lse_quadrature_numpy(t: np.ndarray, logw: np.ndarray,
-                                slopes: np.ndarray, offsets: np.ndarray,
-                                base: np.ndarray) -> np.ndarray:
+def affine_lse_quadrature(t: np.ndarray, logw: np.ndarray,
+                          slopes: np.ndarray, offsets: np.ndarray,
+                          base: np.ndarray) -> np.ndarray:
     m = np.outer(slopes, t) + offsets[:, None] + (base + logw)[None, :]
     mx = m.max(axis=1)
     return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-def _tridiag_core(dl, d, du, b):
-    n = d.shape[0]
-    c = du.copy()
-    dd = d.copy()
-    x = b.copy()
-    for i in range(1, n):
-        m = dl[i] / dd[i - 1]
-        dd[i] -= m * c[i - 1]
-        x[i] -= m * x[i - 1]
-    x[n - 1] /= dd[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1]) / dd[i]
-    return x
-
-
-def _lse_profile_core(t, slopes, offsets):
-    n = t.shape[0]
-    k = slopes.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        mx = slopes[0] * t[i] + offsets[0]
-        for j in range(1, k):
-            e = slopes[j] * t[i] + offsets[j]
-            if e > mx:
-                mx = e
-        s = 0.0
-        for j in range(k):
-            s += np.exp(slopes[j] * t[i] + offsets[j] - mx)
-        out[i] = mx + np.log(s)
-    return out
-
-
-def _lse_quadrature_core(t, logw, slopes, offsets, base):
-    n = t.shape[0]
-    k = slopes.shape[0]
-    out = np.empty(k)
-    for j in range(k):
-        mx = -np.inf
-        for i in range(n):
-            e = slopes[j] * t[i] + offsets[j] + base[i] + logw[i]
-            if e > mx:
-                mx = e
-        s = 0.0
-        for i in range(n):
-            s += np.exp(slopes[j] * t[i] + offsets[j] + base[i] + logw[i] - mx)
-        out[j] = mx + np.log(s)
-    return out
-
-
-if USING_NUMBA:
-    tridiag_solve_numba = njit(cache=True)(_tridiag_core)
-    affine_lse_profile_numba = njit(cache=True)(_lse_profile_core)
-    affine_lse_quadrature_numba = njit(cache=True)(_lse_quadrature_core)
-
-    tridiag_solve = tridiag_solve_numba
-    affine_lse_profile = affine_lse_profile_numba
-    affine_lse_quadrature = affine_lse_quadrature_numba
-else:  # numpy fallback selected by env flag or missing numba
-    tridiag_solve_numba = None
-    affine_lse_profile_numba = None
-    affine_lse_quadrature_numba = None
-
-    tridiag_solve = tridiag_solve_numpy
-    affine_lse_profile = affine_lse_profile_numpy
-    affine_lse_quadrature = affine_lse_quadrature_numpy
 
 
 def logsumexp(values: np.ndarray) -> float:

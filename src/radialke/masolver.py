@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_frame_log, fs_weight, divisor_log_weight,
-                       mollify_weight, weight_mass)
+                       mollify_weight, readonly_array, weight_mass)
 from .kernels import logsumexp, tridiag_solve
 
 #: degree of the auxiliary ample-part divisor used by the delta family
@@ -41,6 +41,18 @@ from .kernels import logsumexp, tridiag_solve
 AMPLE_SHIFT_DEGREE = 1.0
 
 DEFAULT_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """Constructor inputs a problem was built from, kept to rebuild it at
+    other (delta, eps).  ``p`` is None for :func:`ke_problem` and the step
+    count for :func:`ricci_problem`; the divisor, grid and previous iterate
+    are read back from the problem itself."""
+
+    k: float
+    twist: RadialWeight
+    p: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,7 @@ class MAProblem:
     delta: float = 0.0
     coupling: float = 0.0
     prev: Optional[RadialWeight] = None
-    recipe: Optional[dict] = None
+    recipe: Optional[Recipe] = None
 
     def __post_init__(self):
         if not (0.0 <= self.coupling < 1.0):
@@ -114,18 +126,15 @@ class MAProblem:
 
     def with_regularization(self, delta: float, eps: float) -> "MAProblem":
         """Rebuild this problem at other (delta, eps); requires a recipe."""
-        if self.recipe is None:
+        r = self.recipe
+        if r is None:
             raise ConfigurationError("problem was not built by a constructor; "
                                      "cannot re-regularize")
-        r = self.recipe
-        if r["kind"] == "ke":
-            return ke_problem(r["k"], self.divisor, self.grid, eps=eps,
-                              delta=delta, twist=r["twist_raw"])
-        if r["kind"] == "ricci":
-            return ricci_problem(r["k"], self.divisor, r["p"], r["prev"],
-                                 self.grid, eps=eps, delta=delta,
-                                 twist=r["twist_raw"])
-        raise ConfigurationError(f"unknown problem recipe {r['kind']!r}")
+        if r.p is None:
+            return ke_problem(r.k, self.divisor, self.grid, eps=eps,
+                              delta=delta, twist=r.twist)
+        return ricci_problem(r.k, self.divisor, r.p, self.prev, self.grid,
+                             eps=eps, delta=delta, twist=r.twist)
 
 
 def _adjoint_degree(k: float, D: DivisorData, delta: float) -> float:
@@ -169,7 +178,7 @@ def ke_problem(k: float, D: DivisorData | None = None,
                         twist_used.slope_plus - a_inf - delta,
                         twist_used.degree)
     return MAProblem(background, slot, D, eps=eps, delta=delta,
-                     recipe={"kind": "ke", "k": float(k), "twist_raw": twist_raw})
+                     recipe=Recipe(float(k), twist_raw))
 
 
 def ricci_problem(k: float, D: DivisorData | None, p: int,
@@ -196,8 +205,7 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
     slot = (twist_used - fs_weight(total, grid)).shifted(-math.log(p))
     return MAProblem(background, slot, D, eps=eps, delta=delta,
                      coupling=(p - 1) / p, prev=prev,
-                     recipe={"kind": "ricci", "k": float(k), "p": int(p),
-                             "prev": prev, "twist_raw": twist_raw})
+                     recipe=Recipe(float(k), twist_raw, int(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +224,28 @@ class SolveReport:
 
     def __post_init__(self):
         for name in ("potential", "density"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, readonly_array(getattr(self, name)))
 
     @property
     def sup_potential(self) -> float:
         return float(np.max(np.abs(self.potential)))
+
+
+def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
+                    density: np.ndarray) -> np.ndarray:
+    """Residual of the normal form at the bounded correction ``v``.
+
+    Interior rows are ``v'' + curvature - density * exp(v)``, with
+    ``curvature`` the background's and ``density`` the fixed measure of
+    :meth:`MAProblem.log_density_at_background`; the two end rows are the
+    discrete Neumann conditions.
+    """
+    r = np.empty(v.size)
+    r[1:-1] = ((v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+               + curvature[1:-1] - density[1:-1] * np.exp(v[1:-1]))
+    r[0] = v[0] - v[1]
+    r[-1] = v[-1] - v[-2]
+    return r
 
 
 def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
@@ -237,23 +260,14 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
     grid = prob.grid
-    t = grid.nodes
     h = grid.spacing
-    n = t.size
+    n = grid.node_count
     chi = prob.background.values
     chi_curv = prob.background.curvature_profile()
     g = np.exp(prob.log_density_at_background())
 
-    def residual(v: np.ndarray) -> np.ndarray:
-        r = np.empty(n)
-        r[1:-1] = ((v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-                   + chi_curv[1:-1] - g[1:-1] * np.exp(v[1:-1]))
-        r[0] = v[0] - v[1]
-        r[-1] = v[-1] - v[-2]
-        return r
-
     v = np.zeros(n)
-    res = residual(v)
+    res = newton_residual(v, h, chi_curv, g)
     rnorm = float(np.max(np.abs(res)))
     dl = np.full(n, 1.0 / h**2)
     du = np.full(n, 1.0 / h**2)
@@ -273,7 +287,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
         alpha, improved = 1.0, False
         while alpha > 1e-10:
             v_new = v + alpha * step
-            res_new = residual(v_new)
+            res_new = newton_residual(v_new, h, chi_curv, g)
             rnorm_new = float(np.max(np.abs(res_new)))
             if rnorm_new < rnorm:
                 improved = True
@@ -294,6 +308,21 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
     solution = RadialWeight(grid, chi + v, prob.background.slope_minus,
                             prob.background.slope_plus, prob.background.degree)
     return SolveReport(prob, solution, v, density, iters, rnorm, mass_defect)
+
+
+def closed_form_error(solution: RadialWeight, k: float) -> float:
+    """Sup distance of a solution to the closed-form anchor of the conventions.
+
+    With twist ``k log(1 + e^t)`` and no divisor the solution is
+    ``(k - 2) log(1 + e^t) + log((k - 2) / (2 pi))``; the distance is taken
+    two units inside each truncation end, where the Neumann rows no longer
+    bend the profile.
+    """
+    grid = solution.grid
+    ref = ((k - 2.0) * np.logaddexp(0.0, grid.nodes)
+           + math.log((k - 2.0) / (2.0 * math.pi)))
+    win = grid.window(-grid.half_width + 2.0, grid.half_width - 2.0)
+    return float(np.max(np.abs(solution.values - ref)[win]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +381,18 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
 # energy functionals
 # ---------------------------------------------------------------------------
 
-def _bounded_second_diff(phi: np.ndarray, h: float) -> np.ndarray:
-    """Second differences of a bounded potential, flat beyond the grid."""
-    d2 = np.empty_like(phi)
-    d2[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / h**2
-    d2[0] = (phi[1] - phi[0]) / h**2
-    d2[-1] = (phi[-2] - phi[-1]) / h**2
-    return d2
-
-
 def energy(phi: np.ndarray, background: RadialWeight) -> float:
     """Monge-Ampere energy of a bounded potential against its background.
 
     First variation in direction ``v`` is the pairing of ``v`` with the
     perturbed curvature density.
     """
-    phi = np.asarray(phi, dtype=np.float64)
+    # a copy, since the weight freezes its values; zero slopes extend the
+    # bounded potential flat beyond the grid
+    phi = np.array(phi, dtype=np.float64)
     grid = background.grid
     bg = background.curvature_profile()
-    d2 = _bounded_second_diff(phi, grid.spacing)
+    d2 = RadialWeight(grid, phi, 0.0, 0.0, 0.0).second_differences()
     return 0.5 * float(np.sum(grid.trapezoid_weights * phi * (2.0 * bg + d2)))
 
 
@@ -378,8 +400,8 @@ def energy_variation(phi: np.ndarray, v: np.ndarray,
                      background: RadialWeight) -> float:
     """Exact first variation of :func:`energy` at ``phi`` in direction ``v``."""
     grid = background.grid
-    dens = background.curvature_profile() + _bounded_second_diff(
-        np.asarray(phi, float), grid.spacing)
+    flat = RadialWeight(grid, np.array(phi, dtype=np.float64), 0.0, 0.0, 0.0)
+    dens = background.curvature_profile() + flat.second_differences()
     return float(np.sum(grid.trapezoid_weights * np.asarray(v, float) * dens))
 
 

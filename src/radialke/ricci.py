@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_log_weight, fs_weight, lelong_numbers)
-from .masolver import (MAProblem, SolveReport, _adjoint_degree, ricci_problem,
-                       solve_ke_ode)
+from .masolver import (MAProblem, SolveReport, _adjoint_degree,
+                       newton_residual, ricci_problem, solve_ke_ode)
 
 RATIO_SLACK = 1e-3
 DEFAULT_STOP = 1e-10
@@ -119,17 +119,15 @@ def fixed_point_residual(state: RicciState) -> float:
 
     At the fixed point the coupled equation closes on itself (the previous
     iterate equals the current one), so the residual is evaluated for the
-    problem coupled against ``state.weight`` itself.
+    problem coupled against ``state.weight`` itself.  Only interior rows
+    count; the Neumann end rows belong to the discretization.
     """
     prob = _step_problem(state)
-    w = state.weight
-    v = w.values - prob.background.values
-    g = np.exp(prob.log_density_at_background())
-    h = state.grid.spacing
-    curv = prob.background.curvature_profile()
-    res = ((v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-           + curv[1:-1] - g[1:-1] * np.exp(v[1:-1]))
-    return float(np.max(np.abs(res)))
+    res = newton_residual(state.weight.values - prob.background.values,
+                          state.grid.spacing,
+                          prob.background.curvature_profile(),
+                          np.exp(prob.log_density_at_background()))
+    return float(np.max(np.abs(res[1:-1])))
 
 
 def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
@@ -175,10 +173,10 @@ def compare_to_ke(state: RicciState, ke: SolveReport) -> dict:
     weight is added back to the rescaled limit; the Lelong parts then differ
     exactly by the divisor coefficients.
     """
-    recipe = ke.problem.recipe or {}
-    if recipe.get("kind") != "ke":
+    recipe = ke.problem.recipe
+    if recipe is None or recipe.p is not None:
         raise ConfigurationError("comparison target must come from ke_problem")
-    if not np.isclose(recipe.get("k", float("nan")), state.k):
+    if not np.isclose(recipe.k, state.k):
         raise ConfigurationError("twist degrees differ between the two routes")
     if ke.problem.divisor != state.divisor:
         raise ConfigurationError("divisors differ between the two routes")

@@ -19,8 +19,9 @@ import numpy as np
 from .geometry import (default_grid, divisor, fs_weight, kink_weight,
                        make_grid)
 from . import bergman, family as family_mod, ricci as ricci_mod
-from .masolver import (energy, energy_variation, g_functional, ke_problem,
-                       regularized_diagonal, solve_ke_ode, uniform_bound_check)
+from .masolver import (closed_form_error, energy, energy_variation,
+                       g_functional, ke_problem, regularized_diagonal,
+                       solve_ke_ode, uniform_bound_check)
 
 RICCI_CONFIGS = tuple((p, a0) for p in (2, 3, 5) for a0 in (None, "1/2"))
 
@@ -51,13 +52,10 @@ def _timed(fn: Callable[[dict], tuple[bool, dict]], cid: int, name: str,
 
 def _crit_closed_form(cache: dict) -> tuple[bool, dict]:
     grid = default_grid()
-    solve_ke_ode(ke_problem(4.0, grid=make_grid(30.0, 257)))  # warm compiled kernels
     t0 = time.perf_counter()
     rep = solve_ke_ode(ke_problem(4.0, grid=grid))
     elapsed = time.perf_counter() - t0
-    ref = 2.0 * np.logaddexp(0.0, grid.nodes) - math.log(math.pi)
-    win = grid.window(-28.0, 28.0)
-    err = float(np.max(np.abs(rep.solution.values - ref)[win]))
+    err = closed_form_error(rep.solution, 4.0)
     cache["ke_smooth"] = rep
     details = {"sup_error": err, "solve_seconds": elapsed,
                "iterations": rep.iterations, "mass_defect": rep.mass_defect}
@@ -270,10 +268,8 @@ def _crit_ns_and_bound(cache: dict) -> tuple[bool, dict]:
     worst = math.inf
     pairs = 0
     for fam in families.values():
-        top_degree = fam.recipe.k + float(fam.recipe.divisor.total) - 2.0
         for m in (1, 2, 3):
-            top = math.floor(m * top_degree + 1e-9)
-            for j in range(0, top + 1):
+            for j in family_mod.section_window(fam, m):
                 cert = family_mod.ns_convexity_check(j, m, fam)
                 worst = min(worst, cert["min_second_diff"])
                 pairs += 1

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import radialke
 from radialke.cli import emit_plotdata, load_config, main
 from radialke.conventions import CONVENTIONS_HASH
 from radialke.errors import ConfigurationError
@@ -47,6 +50,29 @@ def test_unknown_config_key_rejected(tmp_path):
 
 def test_invalid_grid_is_usage_error(tmp_path):
     assert run_cli(["solve", "--out", str(tmp_path / "x"), "--N", "2"]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("k", "nan"), ("T", "nan"),
+                                       ("tol", "nan"), ("eps", "inf")])
+def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "x"
+    assert run_cli(["solve", "--out", str(out), f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()  # rejected before any compute
+
+
+def test_cli_import_stays_numpy_only():
+    # importing the CLI loads every module; beyond the standard library it
+    # may pull in numpy alone (scipy is a test oracle, no compiler layer)
+    code = ("import sys; before = set(sys.modules); import radialke.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names)))")
+    src = os.path.dirname(os.path.dirname(radialke.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "['numpy', 'radialke']"
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -1,14 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialke import kernels
-from radialke._accel import USING_NUMBA
 
 
 def _random_tridiag(rng, n):
@@ -33,7 +28,7 @@ def test_tridiag_against_dense_solve():
     rng = np.random.default_rng(7)
     for n in (3, 17, 256):
         dl, d, du, b = _random_tridiag(rng, n)
-        x = kernels.tridiag_solve_numpy(dl, d, du, b)
+        x = kernels.tridiag_solve(dl, d, du, b)
         ref = np.linalg.solve(_dense(dl, d, du), b)
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
 
@@ -43,7 +38,7 @@ def test_lse_profile_matches_direct():
     t = np.linspace(-30, 30, 500)
     slopes = rng.uniform(-3, 3, 12)
     offsets = rng.normal(size=12) * 50  # exercise wide dynamic range
-    got = kernels.affine_lse_profile_numpy(t, slopes, offsets)
+    got = kernels.affine_lse_profile(t, slopes, offsets)
     direct = np.log(np.exp(np.outer(t, slopes) + offsets).sum(axis=1))
     mask = np.isfinite(direct)
     np.testing.assert_allclose(got[mask], direct[mask], rtol=1e-12)
@@ -59,31 +54,10 @@ def test_lse_quadrature_matches_plain_trapz():
     slopes = np.array([1.0, 2.0, 3.0])
     offsets = rng.normal(size=3)
     base = -4.0 * np.logaddexp(0.0, t)
-    got = kernels.affine_lse_quadrature_numpy(t, np.log(w), slopes, offsets, base)
+    got = kernels.affine_lse_quadrature(t, np.log(w), slopes, offsets, base)
     for j, (s, o) in enumerate(zip(slopes, offsets)):
         ref = np.log(np.sum(w * np.exp(s * t + o + base)))
         assert got[j] == pytest.approx(ref, rel=1e-12)
-
-
-@pytest.mark.skipif(not USING_NUMBA, reason="numba path not active")
-def test_numba_twins_agree_with_numpy():
-    rng = np.random.default_rng(3)
-    dl, d, du, b = _random_tridiag(rng, 300)
-    np.testing.assert_allclose(kernels.tridiag_solve_numba(dl, d, du, b),
-                               kernels.tridiag_solve_numpy(dl, d, du, b),
-                               rtol=1e-13)
-    t = np.linspace(-25, 25, 700)
-    slopes = np.arange(0.0, 9.0)
-    offsets = rng.normal(size=9) * 30
-    np.testing.assert_allclose(
-        kernels.affine_lse_profile_numba(t, slopes, offsets),
-        kernels.affine_lse_profile_numpy(t, slopes, offsets), rtol=1e-12)
-    w = np.log(np.full(t.size, t[1] - t[0]))
-    base = -3.0 * np.logaddexp(0.0, t)
-    np.testing.assert_allclose(
-        kernels.affine_lse_quadrature_numba(t, w, slopes + 1.0, offsets, base),
-        kernels.affine_lse_quadrature_numpy(t, w, slopes + 1.0, offsets, base),
-        rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,20 +68,3 @@ def test_logsumexp_dominates_max(values):
     assert out >= np.max(arr) - 1e-12
     assert out <= np.max(arr) + np.log(arr.size) + 1e-12
 
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, RADIALKE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from radialke._accel import USING_NUMBA; print(USING_NUMBA)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_numpy_fallback_solves_same_system():
-    # the selected alias must agree with the explicit numpy path
-    rng = np.random.default_rng(5)
-    dl, d, du, b = _random_tridiag(rng, 64)
-    np.testing.assert_allclose(kernels.tridiag_solve(dl, d, du, b),
-                               kernels.tridiag_solve_numpy(dl, d, du, b),
-                               rtol=1e-13)

@@ -221,6 +221,20 @@ def test_regularized_diagonal_rejects_bad_schedules(grid):
         ma.regularized_diagonal(base, [0.1, -0.05], [0.1, 0.05])
 
 
+@pytest.mark.parametrize("build", [
+    lambda grid, **kw: ma.ke_problem(4.0, geo.divisor(zero="1/2"), grid, **kw),
+    lambda grid, **kw: ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 2,
+                                        geo.fs_weight(3.0, grid), grid, **kw),
+], ids=["ke_problem", "ricci_problem"])
+def test_with_regularization_matches_constructor(build):
+    grid = geo.make_grid(30.0, 513)
+    rebuilt = build(grid).with_regularization(0.05, 0.1)
+    direct = build(grid, delta=0.05, eps=0.1)
+    assert (rebuilt.delta, rebuilt.eps) == (0.05, 0.1)
+    np.testing.assert_array_equal(rebuilt.log_density_at_background(),
+                                  direct.log_density_at_background())
+
+
 def test_diagonal_requires_recipe(grid):
     chi = geo.fs_weight(2.0, grid)
     prob = ma.MAProblem(chi, geo.fs_weight(4.0, grid), geo.DivisorData())
