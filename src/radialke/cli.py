@@ -29,8 +29,8 @@ from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (closed_form_error, ke_problem, regularized_diagonal,
-                       solve_ke_ode)
+from .masolver import (check_schedule, closed_form_error, ke_problem,
+                       regularized_diagonal, solve_ke_ode)
 
 # flat config schema: key -> (applies-to kinds, type, default)
 CONFIG_KEYS = {
@@ -86,13 +86,18 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
         if key not in cfg:
             raise ConfigurationError(f"option {key!r} does not apply to kind {kind!r}")
         cfg[key] = value
-    # type coercion and basic validation
+    # type coercion and basic validation; lists come comma-separated from flags
     for key, value in list(cfg.items()):
         _, typ, _ = CONFIG_KEYS[key]
-        if value is None or typ is list:
+        if value is None:
             continue
         try:
-            cfg[key] = typ(value)
+            if typ is list:
+                elem = int if key == "criteria" else float
+                cfg[key] = [elem(x) for x in (value.split(",") if isinstance(value, str)
+                                              else value)]
+            else:
+                cfg[key] = typ(value)
         except (TypeError, ValueError):
             raise ConfigurationError(f"config key {key!r} expects {typ.__name__}, "
                                      f"got {value!r}")
@@ -118,6 +123,12 @@ def validate_config(cfg: dict) -> None:
     if cfg.get("base_count", 3) < 1:
         raise ConfigurationError(f"config key 'base_count' must be >= 1, "
                                  f"got {cfg['base_count']}")
+    for key in ("delta_schedule", "eps_schedule"):
+        if cfg.get(key):
+            check_schedule(key.split("_")[0], cfg[key])
+    unknown = set(cfg.get("criteria") or ()) - {cid for cid, _, _ in suite.CRITERIA}
+    if unknown:
+        raise ConfigurationError(f"unknown criteria in 'criteria': {sorted(unknown)}")
     for key in ("divisor_zero", "divisor_infinity", "a0"):
         if key in cfg:
             try:
@@ -154,9 +165,9 @@ def _run_solve(cfg: dict, out: str) -> dict:
         verdicts["closed_form_oracle"] = oracle <= 1e-6
     diagonal_summary = None
     if cfg.get("delta_schedule") or cfg.get("eps_schedule"):
-        deltas = [float(x) for x in cfg.get("delta_schedule") or cfg["eps_schedule"]]
-        epses = [float(x) for x in cfg.get("eps_schedule") or cfg["delta_schedule"]]
-        diag = regularized_diagonal(prob, deltas, epses, tol=cfg["tol"])
+        schedules = (cfg.get("delta_schedule") or cfg["eps_schedule"],
+                     cfg.get("eps_schedule") or cfg["delta_schedule"])
+        diag = regularized_diagonal(prob, *schedules, tol=cfg["tol"])
         rows = [(d, e, r.sup_potential,
                  diag.trace[i - 1] if i >= 1 else float("nan"))
                 for i, ((d, e), r) in enumerate(zip(diag.pairs, diag.reports))]
@@ -264,9 +275,7 @@ def _run_family(cfg: dict, out: str) -> dict:
 
 
 def _run_suite(cfg: dict, out: str) -> dict:
-    ids = cfg.get("criteria")
-    results = suite.run_criteria([int(i) for i in ids] if ids else None,
-                                 seed=cfg["seed"])
+    results = suite.run_criteria(cfg.get("criteria") or None, seed=cfg["seed"])
     # timings go to stdout and the manifest wall clock; the CSV payload stays
     # byte-identical across reruns
     rows = [(r.cid, r.name, int(r.passed)) for r in results]
@@ -408,11 +417,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
-    if args.command == "suite" and overrides.get("criteria"):
-        overrides["criteria"] = [int(x) for x in str(overrides["criteria"]).split(",")]
-    for key in ("delta_schedule", "eps_schedule"):
-        if isinstance(overrides.get(key), str):
-            overrides[key] = [float(x) for x in overrides[key].split(",")]
     try:
         cfg = load_config(args.config, overrides, args.command)
         validate_config(cfg)

@@ -337,14 +337,14 @@ class DiagonalResult:
     converged: bool
 
 
-def _check_schedule(name: str, sched: Sequence[float]) -> list[float]:
+def check_schedule(name: str, sched: Sequence[float]) -> list[float]:
     vals = [float(x) for x in sched]
     if not vals:
         raise ConfigurationError(f"{name} schedule is empty")
-    if any(x <= 0 for x in vals):
-        raise ConfigurationError(f"{name} schedule must stay positive")
+    if not all(math.isfinite(x) and x > 0 for x in vals):
+        raise ConfigurationError(f"{name} schedule {vals} must stay positive and finite")
     if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigurationError(f"{name} schedule must be strictly decreasing")
+        raise ConfigurationError(f"{name} schedule {vals} must be strictly decreasing")
     return vals
 
 
@@ -359,8 +359,8 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     at least a factor four from its peak; otherwise the result is returned
     with ``converged=False`` and the trace attached.
     """
-    deltas = _check_schedule("delta", delta_schedule)
-    epses = _check_schedule("eps", eps_schedule)
+    deltas = check_schedule("delta", delta_schedule)
+    epses = check_schedule("eps", eps_schedule)
     steps = max(len(deltas), len(epses))
     pad = lambda s: s + [s[-1]] * (steps - len(s))
     deltas, epses = pad(deltas), pad(epses)

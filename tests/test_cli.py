@@ -62,6 +62,21 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
     assert not out.exists()  # rejected before any compute
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--eps-schedule", "0.1,abc"],
+    ["solve", "--eps-schedule", "0.1,nan"],
+    ["solve", "--delta-schedule", "0.1,0.1"],
+    ["solve", "--eps-schedule", "0.05,0.1"],
+    ["suite", "--criteria", "1,x"],
+    ["suite", "--criteria", "99"],
+])
+def test_bad_list_key_is_config_error(tmp_path, capsys, args):
+    out = tmp_path / "x"
+    assert run_cli(args + ["--out", str(out), "--N", "257"]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()  # rejected before any compute
+
+
 def test_cli_import_stays_numpy_only():
     # importing the CLI loads every module; beyond the standard library it
     # may pull in numpy alone (scipy is a test oracle, no compiler layer)

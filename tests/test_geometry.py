@@ -180,6 +180,31 @@ def test_mollify_first_order_convergence(grid):
     assert sups[2] / sups[1] == pytest.approx(0.5, abs=0.1)
 
 
+def _dense_mollify(w, eps):
+    # the closed form summed over every node pair, 512 rows at a time
+    t, h, u = w.grid.nodes, w.grid.spacing, w.values
+    seg = np.diff(u) / h
+    jumps = np.concatenate([[seg[0] - w.slope_minus], np.diff(seg),
+                            [w.slope_plus - seg[-1]]])
+    rows = [np.log1p(np.exp(-np.abs(ts[:, None] - t[None, :]) / eps)) @ jumps
+            for ts in np.array_split(t, -(-t.size // 512))]
+    return u + eps * np.concatenate(rows)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.1, 5.0, 40.0])
+@pytest.mark.parametrize("with_kink", [False, True])
+def test_mollify_banded_matches_dense_sum(grid, eps, with_kink):
+    # at eps = 40 the 45 eps band is wider than the T = 30 grid
+    w = geo.fs_weight(4.0, grid)
+    if with_kink:
+        w = w + geo.kink_weight(grid)
+    m = geo.mollify_weight(w, eps)
+    np.testing.assert_allclose(m.values, _dense_mollify(w, eps), rtol=0, atol=1e-12)
+    assert (m.slope_minus, m.slope_plus, m.degree) == \
+        (w.slope_minus, w.slope_plus, w.degree)
+    assert not m.values.flags.writeable
+
+
 def test_mollify_rejects_bad_scale(grid):
     with pytest.raises(ConfigurationError):
         geo.mollify_weight(geo.kink_weight(grid), 0.0)

@@ -33,6 +33,59 @@ def test_tridiag_against_dense_solve():
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
 
 
+def _thomas_oracle(dl, d, du, b):
+    # the elimination on numpy float64 scalars, element by element
+    n = d.size
+    c, dd, x = du.copy(), d.copy(), b.astype(np.float64)
+    for i in range(1, n):
+        m = dl[i] / dd[i - 1]
+        dd[i] -= m * c[i - 1]
+        x[i] -= m * x[i - 1]
+    x[n - 1] /= dd[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1]) / dd[i]
+    return x
+
+
+def _newton_system(rng, n):
+    # the shape solve_ke_ode assembles: second differences minus a positive
+    # density on the interior, Neumann rows at both ends.  The density is
+    # bounded below so the condition number stays near 1/h^2 and two stable
+    # solvers agree to 1e-12; solve_ke_ode's decaying densities reach 1e7.
+    h = 60.0 / (n - 1)
+    dl = np.full(n, 1.0 / h**2)
+    du = np.full(n, 1.0 / h**2)
+    dl[0], dl[-1], du[0], du[-1] = 0.0, -1.0, -1.0, 0.0
+    d = -2.0 / h**2 - rng.uniform(0.5, 2.0, n)
+    d[0] = d[-1] = 1.0
+    return dl, d, du, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("n", [3, 1024, 4096])
+def test_tridiag_newton_system_bitwise_thomas(n):
+    from scipy.linalg import solve_banded
+
+    dl, d, du, b = _newton_system(np.random.default_rng(n), n)
+    before = [a.copy() for a in (dl, d, du, b)]
+    x = kernels.tridiag_solve(dl, d, du, b)
+    for a, a0 in zip((dl, d, du, b), before):
+        assert np.array_equal(a, a0)  # inputs untouched
+    assert x.dtype == np.float64
+    assert np.array_equal(x, _thomas_oracle(dl, d, du, b))
+    ab = np.vstack([np.r_[0.0, du[:-1]], d, np.r_[dl[1:], 0.0]])
+    ref = solve_banded((1, 1), ab, b)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_tridiag_integer_rhs_is_read_as_float64():
+    dl, d, du, _ = _newton_system(np.random.default_rng(5), 64)
+    b = np.arange(64) - 20
+    x = kernels.tridiag_solve(dl, d, du, b)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, kernels.tridiag_solve(dl, d, du, b.astype(np.float64)))
+    assert b.dtype.kind == "i" and b[0] == -20
+
+
 def test_lse_profile_matches_direct():
     rng = np.random.default_rng(11)
     t = np.linspace(-30, 30, 500)
