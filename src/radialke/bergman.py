@@ -372,11 +372,13 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
     """Decay certificate for a finished run.
 
     Requires at least three levels; reports the final distance, whether the
-    distance trace decreases monotonically from ``monotone_from`` on, and the
-    one-sided slack trend below the target.  Only the eps = 0 chain is a
-    convergence statement: at finite eps the floored reference and the
-    vanishing-constrained sections carry different divisor slopes by design,
-    so those runs support the gap machinery only.
+    distance trace decreases monotonically from ``monotone_from`` on, the
+    one-sided slack trend below the target, and ``decay_order``: the
+    least-squares slope of ``-log(distance)`` against ``log(level)`` over the
+    same tail (NaN with fewer than three points there).  Only the eps = 0
+    chain is a convergence statement: at finite eps the floored reference and
+    the vanishing-constrained sections carry different divisor slopes by
+    design, so those runs support the gap machinery only.
     """
     if run.chain.eps != 0:
         raise ConfigurationError("convergence certification requires an eps = 0 "
@@ -389,6 +391,10 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
     steps = np.diff(d[start:])
     monotone = bool(np.all(steps <= 1e-12)) if steps.size else True
     slack = np.array(run.liminf_slacks)
+    order = float("nan")
+    if d.size - start >= 3:
+        ells = np.arange(start + 1, d.size + 1)
+        order = float(np.polyfit(np.log(ells), -np.log(d[start:]), 1)[0])
     return {
         "final_distance": float(d[-1]),
         "monotone_from": monotone_from,
@@ -397,6 +403,7 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
         "final_liminf_slack": float(slack[-1]),
         "liminf_decreasing": bool(slack[-1] <= slack[min(start, slack.size - 1)] + 1e-12),
         "route_agreement": run.chain.route_agreement,
+        "decay_order": order,
     }
 
 

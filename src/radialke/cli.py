@@ -65,6 +65,10 @@ CONFIG_KEYS = {
 
 KINDS = ("solve", "ricci", "bergman", "family", "suite")
 
+# smallest admissible value of each bounded key
+LOWER_BOUNDS = {"N": 3, "eps": 0.0, "delta": 0.0, "p": 1, "m_max": 2, "m": 1,
+                "ell_max": 1, "base_count": 1, "fiber_n": 3}
+
 
 def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
     """Merge defaults, config file, and CLI overrides; reject unknown keys."""
@@ -110,19 +114,14 @@ def validate_config(cfg: dict) -> None:
         if CONFIG_KEYS[key][1] is float and value is not None \
                 and not math.isfinite(value):
             raise ConfigurationError(f"config key {key!r} must be finite, got {value}")
-    if cfg.get("N", 3) < 3:
-        raise ConfigurationError(f"config key 'N' must be >= 3, got {cfg['N']}")
-    if cfg.get("T", 1.0) <= 0:
-        raise ConfigurationError(f"config key 'T' must be positive, got {cfg['T']}")
-    if cfg.get("tol", 1.0) <= 0:
-        raise ConfigurationError(f"config key 'tol' must be positive, got {cfg['tol']}")
-    if cfg.get("p", 1) < 1:
-        raise ConfigurationError(f"config key 'p' must be >= 1, got {cfg['p']}")
-    if cfg.get("ell_max", 1) < 1:
-        raise ConfigurationError(f"config key 'ell_max' must be >= 1, got {cfg['ell_max']}")
-    if cfg.get("base_count", 3) < 1:
-        raise ConfigurationError(f"config key 'base_count' must be >= 1, "
-                                 f"got {cfg['base_count']}")
+    for key in ("T", "tol", "stop_tol"):
+        if key in cfg and cfg[key] <= 0:
+            raise ConfigurationError(f"config key {key!r} must be positive, "
+                                     f"got {cfg[key]}")
+    for key, low in LOWER_BOUNDS.items():
+        if key in cfg and cfg[key] < low:
+            raise ConfigurationError(f"config key {key!r} must be >= {low}, "
+                                     f"got {cfg[key]}")
     for key in ("delta_schedule", "eps_schedule"):
         if cfg.get(key):
             check_schedule(key.split("_")[0], cfg[key])

@@ -19,13 +19,39 @@ Everything downstream funnels its inner loops through three operations:
     Gram norms span hundreds of orders of magnitude at high level, so linear
     scale is never used.
 
+Both log-sum-exp kernels are block factored (the absorption idea of
+log-domain stabilized scaling, Schmitzer, arXiv:1610.06519).  Cut the nodes
+into ``nb`` blocks of ``B`` consecutive nodes with centres ``tau_b``; on a
+uniform grid every block has the same offsets ``delta_r`` from its centre, so
+
+    exp(s_j t_i + c) = exp(s_j delta_r) * exp(s_j tau_b + c),
+
+and the first factor is one ``B x J`` matrix ``E`` shared by every block.
+The profile stabilizes ``s_j tau_b + offsets_j`` by its maximum over ``j`` in
+each block and multiplies by ``E.T``; the quadrature stabilizes
+``base + logw`` by its maximum in each block, multiplies by ``E`` and then
+sums the ``nb`` block logs stably.  ``B`` is the largest width with
+``max|s| h (B - 1) / 2 <= CAP``, and at most ``ceil(sqrt(n))`` so that ``E``
+never grows to ``n x J``.  Every factor's exponent then lies in
+``[-CAP, CAP]``: nothing overflows, each row's dominant term is at least
+``e^-CAP``, and a term underflows only if it is below ``e^(-745 + 2 CAP)``
+of that dominant term.  All terms are positive, so there is no
+cancellation.  The nodes must be uniform, ``t[i] = t[0] + i h`` to
+``1e-12 max(1, max|t|)``, checked in O(n); a ``ValueError`` otherwise.
+Cost per call: one GEMM of ``2 n J`` flops and ``(nb + B) J`` exps (plus
+``n`` for the quadrature), where the dense form takes ``n J`` exps.
+
 The test suite checks each kernel against a dense or direct oracle at 1e-12
 relative tolerance.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+CAP = 100.0  # bound on every factor's exponent in the log-sum-exp kernels
 
 
 def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
@@ -51,19 +77,47 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     return np.array(x)
 
 
+def _block_layout(t: np.ndarray, slopes: np.ndarray):
+    """Blocks of a uniform grid and their shared exponential factor.
+
+    Returns ``(width, tau, E)``: node ``b * width + r`` sits at
+    ``tau[b] + delta[r]`` with ``delta = (arange(width) - (width - 1) / 2) * h``,
+    and ``E[r, j] = exp(slopes[j] * delta[r])`` serves every block.
+    """
+    n = t.size
+    h = (t[-1] - t[0]) / max(n - 1, 1)
+    scale = max(1.0, float(np.max(np.abs(t))))
+    if np.max(np.abs(t - (t[0] + h * np.arange(n)))) > 1e-12 * scale:
+        raise ValueError("log-sum-exp kernels need uniform nodes t[0] + i*h")
+    spread = float(np.max(np.abs(slopes))) * abs(h)
+    width = min(n, math.isqrt(n - 1) + 1,
+                n if spread == 0 else int(2.0 * CAP / spread) + 1)
+    delta = (np.arange(width) - (width - 1) / 2) * h
+    tau = t[0] + (np.arange(-(-n // width)) * width + (width - 1) / 2) * h
+    return width, tau, np.exp(np.outer(delta, slopes))
+
+
 def affine_lse_profile(t: np.ndarray, slopes: np.ndarray,
                        offsets: np.ndarray) -> np.ndarray:
-    m = np.outer(t, slopes) + offsets[None, :]
-    mx = m.max(axis=1)
-    return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+    _, tau, e = _block_layout(t, slopes)
+    c = np.outer(tau, slopes) + offsets
+    mx = c.max(axis=1, keepdims=True)
+    return (np.log(np.exp(c - mx) @ e.T) + mx).ravel()[:t.size]
 
 
 def affine_lse_quadrature(t: np.ndarray, logw: np.ndarray,
                           slopes: np.ndarray, offsets: np.ndarray,
                           base: np.ndarray) -> np.ndarray:
-    m = np.outer(slopes, t) + offsets[:, None] + (base + logw)[None, :]
-    mx = m.max(axis=1)
-    return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+    width, tau, e = _block_layout(t, slopes)
+    g = np.full(tau.size * width, -np.inf)
+    g[:t.size] = base + logw
+    g = g.reshape(tau.size, width)
+    gx = g.max(axis=1, keepdims=True)
+    gx[gx == -np.inf] = 0.0  # a block of zero weights adds nothing
+    with np.errstate(divide="ignore"):
+        lb = np.log(np.exp(g - gx) @ e) + gx + np.outer(tau, slopes)
+    mx = lb.max(axis=0)
+    return offsets + mx + np.log(np.exp(lb - mx).sum(axis=0))
 
 
 def logsumexp(values: np.ndarray) -> float:

@@ -150,6 +150,14 @@ def test_two_route_precheck_in_convergence(smooth_run):
     assert out["final_liminf_slack"] <= 1e-6
 
 
+def test_convergence_decay_order(smooth_run, smooth_chain):
+    order = bergman.convergence_check(smooth_run)["decay_order"]
+    assert np.isfinite(order) and order > 0
+    # levels 20..21 are two points: too few for a fitted order
+    short = bergman.run_levels(smooth_chain, 21)
+    assert math.isnan(bergman.convergence_check(short)["decay_order"])
+
+
 def test_convergence_check_needs_three_levels(smooth_chain):
     short = bergman.run_levels(smooth_chain, 1)
     with pytest.raises(ConfigurationError):

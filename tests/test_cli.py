@@ -77,6 +77,23 @@ def test_bad_list_key_is_config_error(tmp_path, capsys, args):
     assert not out.exists()  # rejected before any compute
 
 
+@pytest.mark.parametrize("args,key", [
+    (["solve", "--eps", "-1"], "eps"),
+    (["solve", "--delta", "-0.5"], "delta"),
+    (["ricci", "--m-max", "0"], "m_max"),
+    (["ricci", "--m-max", "1"], "m_max"),
+    (["bergman", "--m", "0"], "m"),
+    (["ricci", "--stop-tol", "-1"], "stop_tol"),
+    (["family", "--fiber-n", "2"], "fiber_n"),
+])
+def test_out_of_range_key_is_config_error(tmp_path, capsys, args, key):
+    out = tmp_path / "x"
+    assert run_cli(args + ["--out", str(out), "--N", "257"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()  # rejected before any compute
+
+
 def test_cli_import_stays_numpy_only():
     # importing the CLI loads every module; beyond the standard library it
     # may pull in numpy alone (scipy is a test oracle, no compiler layer)
@@ -96,6 +113,21 @@ def test_determinism_byte_identical(tmp_path):
         assert run_cli(["ricci", "--out", str(out), "--k", "4", "--p", "2",
                         "--N", "512", "--seed", "7"]) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+
+
+def test_bergman_byte_identical_across_blas_threads(tmp_path):
+    # the log-sum-exp kernels are matrix products; at this size the late
+    # levels' products are large enough for BLAS to split across threads
+    src = os.path.dirname(os.path.dirname(radialke.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "radialke.cli", "bergman", "--N", "2049",
+                        "--ell-max", "60", "--out", str(out)], env=env, check=True)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("trace.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_ricci_trace_schema(tmp_path):
@@ -118,6 +150,14 @@ def test_bergman_run_and_plotdata(tmp_path):
     ph, pdata = read_csv(plot)
     assert ph == ["ell", "sup_distance", "chain_slack"]
     assert pdata.shape[0] == 12
+
+
+def test_bergman_summary_reports_decay_order(tmp_path):
+    out = tmp_path / "berg"
+    assert run_cli(["bergman", "--out", str(out), "--ell-max", "24",
+                    "--N", "1024"]) == 0
+    conv = json.loads((out / "summary.json").read_text())["convergence"]
+    assert np.isfinite(conv["decay_order"]) and conv["decay_order"] > 0
 
 
 def test_plotdata_from_ricci_trace(tmp_path):

@@ -121,3 +121,106 @@ def test_logsumexp_dominates_max(values):
     assert out >= np.max(arr) - 1e-12
     assert out <= np.max(arr) + np.log(arr.size) + 1e-12
 
+
+# ---------------------------------------------------------------------------
+# block-factored log-sum-exp kernels against dense scipy oracles
+# ---------------------------------------------------------------------------
+
+def _dense_profile(t, slopes, offsets):
+    from scipy.special import logsumexp
+    return logsumexp(np.outer(t, slopes) + offsets, axis=1)
+
+
+def _dense_quadrature(t, logw, slopes, offsets, base):
+    from scipy.special import logsumexp
+    return logsumexp(np.outer(slopes, t) + offsets[:, None] + (base + logw), axis=1)
+
+
+def _normwise(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _bergman_shaped(slopes, n=11888):
+    # the quadrature grid and Gram offsets of a level-200 recursion: integer
+    # exponents, offsets spanning hundreds of e-folds, and a base steep
+    # enough that every column decays at both ends
+    rng = np.random.default_rng(int(slopes[0]) + slopes.size)
+    t = np.linspace(-87.0, 87.0, n)
+    logw = np.full(n, np.log(t[1] - t[0]))
+    logw[[0, -1]] -= np.log(2.0)
+    offsets = (-np.cumsum(rng.uniform(0.5, 2.0, slopes.size))
+               + 30.0 * rng.normal(size=slopes.size))
+    base = t - (slopes[-1] + 2.0) * np.logaddexp(0.0, t)
+    return t, logw, offsets, base
+
+
+@pytest.mark.parametrize("lo,hi", [(0, 400), (50, 350)])
+def test_lse_kernels_bergman_sizes_match_dense(lo, hi):
+    slopes = np.arange(lo, hi + 1, dtype=np.float64)
+    t, logw, offsets, base = _bergman_shaped(slopes)
+    got = kernels.affine_lse_profile(t, slopes, offsets)
+    assert got.shape == t.shape
+    assert _normwise(got, _dense_profile(t, slopes, offsets)) <= 1e-12
+    got = kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
+    assert got.shape == slopes.shape
+    assert _normwise(got, _dense_quadrature(t, logw, slopes, offsets, base)) <= 1e-12
+
+
+def test_lse_kernels_reject_non_uniform_nodes():
+    t = np.linspace(-10.0, 10.0, 101)
+    t[50] += 1e-6
+    slopes, offsets = np.arange(5.0), np.zeros(5)
+    with pytest.raises(ValueError):
+        kernels.affine_lse_profile(t, slopes, offsets)
+    with pytest.raises(ValueError):
+        kernels.affine_lse_quadrature(t, np.zeros(t.size), slopes, offsets, -t * t)
+
+
+@pytest.mark.parametrize("n,slopes", [
+    (2001, np.array([3.0])),           # one slope
+    (2001, np.zeros(7)),               # all-zero slopes: the widest blocks
+    (3, np.arange(-4.0, 9.0)),         # fewest nodes of a grid
+    (3, np.array([250.0])),
+])
+def test_lse_kernels_degenerate_shapes(n, slopes):
+    rng = np.random.default_rng(n + slopes.size)
+    t = np.linspace(-25.0, 35.0, n)
+    logw = np.log(rng.uniform(0.5, 1.5, n))
+    offsets = rng.normal(size=slopes.size) * 40.0
+    base = -0.1 * t * t
+    got = kernels.affine_lse_profile(t, slopes, offsets)
+    assert _normwise(got, _dense_profile(t, slopes, offsets)) <= 1e-12
+    got = kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
+    assert _normwise(got, _dense_quadrature(t, logw, slopes, offsets, base)) <= 1e-12
+
+
+def test_lse_quadrature_zero_weight_run():
+    # a run of zero-weight nodes longer than any block adds nothing
+    t = np.linspace(-30.0, 30.0, 4001)
+    slopes = np.arange(0.0, 41.0)
+    logw = np.zeros(t.size)
+    logw[1000:3000] = -np.inf
+    base = -21.0 * np.logaddexp(0.0, t)
+    offsets = np.zeros(slopes.size)
+    got = kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
+    keep = np.isfinite(logw)
+    want = _dense_quadrature(t[keep], logw[keep], slopes, offsets, base[keep])
+    assert _normwise(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])  # steep: narrow blocks; flat: wide
+def test_lse_kernels_allocate_no_dense_grid(scale):
+    import tracemalloc
+
+    slopes = np.arange(0.0, 401.0) * scale
+    t, logw, offsets, base = _bergman_shaped(np.arange(0.0, 401.0))
+    dense_bytes = t.size * slopes.size * 8
+    for call in (lambda: kernels.affine_lse_profile(t, slopes, offsets),
+                 lambda: kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
