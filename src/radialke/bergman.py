@@ -30,13 +30,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
-                       divisor_eps_weight, divisor_frame_log,
-                       divisor_log_weight, fs_weight, readonly_array)
+                       divisor_eps_weight, divisor_frame_log, fs_weight,
+                       readonly_array)
 from .kernels import affine_lse_profile, affine_lse_quadrature, logsumexp
 from .masolver import ke_problem, solve_ke_ode
 from . import ricci as ricci_mod
 
 DECAY_GUARD_LOG = math.log(1e-30)
+#: t-window on which the renormalized profile is compared with the target
+WINDOW = (-10.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +101,11 @@ def section_range(level: int, p: int, k: float,
     return SectionBasis(level, p, float(k), D, j_min, j_max)
 
 
-def frac_frame_log(basis: SectionBasis, grid: RadialGrid,
-                   eps: float = 0.0) -> np.ndarray:
+def frac_frame_log(basis: SectionBasis, grid: RadialGrid) -> np.ndarray:
     """Fractional-part frame profile of the level.
 
     For each divisor point the exponent is ``ceil(l p a) - l p a``, applied
-    to the eps-floored Fubini-Study frame norm.
+    to the Fubini-Study frame norm.
     """
     lp = Fraction(basis.level * basis.p)
     terms = []
@@ -112,7 +113,7 @@ def frac_frame_log(basis: SectionBasis, grid: RadialGrid,
         frac = Fraction(math.ceil(lp * a)) - lp * a
         if frac:
             terms.append((loc, frac))
-    return divisor_frame_log(DivisorData(tuple(terms)), grid, eps)
+    return divisor_frame_log(DivisorData(tuple(terms)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +142,8 @@ class WeightChain:
 
 def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
                 m: int = 1, grid: RadialGrid | None = None, *,
-                eps: float = 0.0, twist: RadialWeight | None = None,
-                solver_tol: float = 1e-10) -> WeightChain:
+                eps: float = 0.0,
+                twist: RadialWeight | None = None) -> WeightChain:
     """Assemble the level-recursion weights for outer step ``m``.
 
     Runs the p-step iteration to ``m - 1`` for the chain weight and one step
@@ -156,13 +157,12 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     grid = grid or default_grid()
     state = ricci_mod.initial_state(k, D, p, grid, eps=eps, twist=twist)
     for _ in range(m - 1):
-        state = ricci_mod.ricci_step(state, tol=solver_tol)
+        state = ricci_mod.ricci_step(state)
     w_prev = state.weight
-    state = ricci_mod.ricci_step(state, tol=solver_tol)
+    state = ricci_mod.ricci_step(state)
     w_m = state.weight
 
-    div_weight = (divisor_eps_weight(D, grid, eps) if eps > 0
-                  else divisor_log_weight(D, grid))
+    div_weight = divisor_eps_weight(D, grid, eps)
     twist_used = twist if twist is not None else fs_weight(k, grid)
     tau = (w_prev.scaled((p - 1) / p) + div_weight.scaled(float(p - 1))
            + twist_used).shifted(-math.log(p))
@@ -170,7 +170,7 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
 
     route = float("nan")
     if p == 1 and eps == 0:
-        ke = solve_ke_ode(ke_problem(k, D, grid, twist=twist), tol=solver_tol)
+        ke = solve_ke_ode(ke_problem(k, D, grid, twist=twist))
         route = float(np.max(np.abs(target.values - ke.solution.values)))
     return WeightChain(float(k), int(p), int(m), D, grid, tau, target,
                        eps=eps, route_agreement=route)
@@ -195,15 +195,12 @@ class BergmanLevel:
 
 
 def gram_diagonal(basis: SectionBasis, chain: WeightChain,
-                  prev: Optional[BergmanLevel] = None,
-                  frac_eps: Optional[float] = None) -> np.ndarray:
+                  prev: Optional[BergmanLevel] = None) -> np.ndarray:
     """Log Gram norms of the monomial sections at one level.
 
     The inner product weight is the previous kernel times ``e^{-tau}``; the
     measure picks up the canonical ``2 pi e^t dt`` pairing.  Off-diagonal
     entries vanish identically by rotation symmetry and are not computed.
-    ``frac_eps`` optionally multiplies the measure by the eps-floored
-    fractional-part frame of the level.
     """
     grid = chain.tau.grid
     t = grid.nodes
@@ -221,19 +218,16 @@ def gram_diagonal(basis: SectionBasis, chain: WeightChain,
             f"gram integrand grows at t -> +inf (slope {hi}) at level {basis.level}")
 
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
-    if frac_eps is not None:
-        base = base + frac_frame_log(basis, grid, frac_eps)
     logw = np.log(grid.trapezoid_weights)
     offsets = np.zeros(basis.n_sections)
     return affine_lse_quadrature(t, logw, basis.exponents, offsets, base)
 
 
-def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain,
-                 frac_eps: Optional[float] = None) -> BergmanLevel:
+def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLevel:
     """Advance the kernel recursion by one level (``prev=None`` starts at 1)."""
     level = 1 if prev is None else prev.level + 1
     basis = section_range(level, chain.p, chain.k, chain.divisor)
-    log_gram = gram_diagonal(basis, chain, prev, frac_eps)
+    log_gram = gram_diagonal(basis, chain, prev)
     grid = chain.tau.grid
     kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
@@ -313,14 +307,11 @@ def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
     return core + (-DECAY_GUARD_LOG) / beta
 
 
-def run_levels(chain: WeightChain, ell_max: int,
-               window: tuple[float, float] = (-10.0, 10.0),
-               frac_eps: Optional[float] = None,
-               reference_fn=None) -> BergmanRun:
+def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     """Run the kernel recursion to ``ell_max`` with traces.
 
-    Per level: sup distance of the renormalized profile to the target on the
-    window, the one-sided slack below the target, the integral-chain pair
+    Per level: sup distance of the renormalized profile to the target on
+    ``WINDOW``, the one-sided slack below the target, the integral-chain pair
     (log integral, log bound), and the reference gap.  The decay guard is
     verified on the slowest Gram column of every level.
     """
@@ -332,12 +323,12 @@ def run_levels(chain: WeightChain, ell_max: int,
     run = BergmanRun(chain_w, wide)
     t = wide.nodes
     logw = np.log(wide.trapezoid_weights)
-    win = wide.window(*window)
+    win = wide.window(*WINDOW)
     target = chain_w.target.values
     log_n_sum = 0.0
     prev = None
     for ell in range(1, ell_max + 1):
-        lv = bergman_step(prev, chain_w, frac_eps)
+        lv = bergman_step(prev, chain_w)
         run.levels.append(lv)
         # decay guard: slowest columns sit at the window ends
         prev_kappa = np.zeros(t.size) if prev is None else prev.kappa.values
@@ -359,8 +350,8 @@ def run_levels(chain: WeightChain, ell_max: int,
         log_n_sum += math.log(lv.basis.n_sections)
         run.chain_log_integrals.append(log_i)
         run.chain_log_bounds.append(log_n_sum / ell)
-        if chain_w.eps == 0 and not frac_eps:
-            ref = ell * target + frac_frame_log(lv.basis, wide, 0.0)
+        if chain_w.eps == 0:
+            ref = ell * target + frac_frame_log(lv.basis, wide)
             run.c_ells.append(c_ell_diagnostic(lv, ref))
         else:
             run.c_ells.append(float("nan"))

@@ -29,17 +29,18 @@ from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (check_schedule, closed_form_error, ke_problem,
-                       regularized_diagonal, solve_ke_ode)
+from .masolver import (_adjoint_degree, check_schedule, closed_form_error,
+                       ke_problem, regularized_diagonal, solve_ke_ode)
 
-# flat config schema: key -> (applies-to kinds, type, default)
+# flat config schema: key -> (kinds whose runs read it, type, default); every
+# key but ``kind`` is also the flag ``--key-with-dashes`` of those kinds
 CONFIG_KEYS = {
     "kind": ("*", str, None),
     "out": ("*", str, "runs/out"),
-    "seed": ("*", int, 20240801),
-    "tol": ("*", float, 1e-10),
-    "T": ("*", float, 30.0),
-    "N": ("*", int, 4096),
+    "seed": ("suite", int, 20240801),
+    "tol": ("solve ricci", float, 1e-10),
+    "T": ("solve ricci bergman family", float, 30.0),
+    "N": ("solve ricci bergman", int, 4096),
     "k": ("solve ricci bergman family", float, 4.0),
     "divisor_zero": ("solve ricci bergman", str, "0"),
     "divisor_infinity": ("solve ricci bergman", str, "0"),
@@ -67,13 +68,18 @@ KINDS = ("solve", "ricci", "bergman", "family", "suite")
 
 # smallest admissible value of each bounded key
 LOWER_BOUNDS = {"N": 3, "eps": 0.0, "delta": 0.0, "p": 1, "m_max": 2, "m": 1,
-                "ell_max": 1, "base_count": 1, "fiber_n": 3}
+                "ell_max": 1, "base_count": 3, "fiber_n": 3}
+
+
+def keys_of(kind: str) -> list[str]:
+    """Config keys a run of ``kind`` reads, in declaration order."""
+    return [key for key, (kinds, _, _) in CONFIG_KEYS.items()
+            if kinds == "*" or kind in kinds.split()]
 
 
 def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
     """Merge defaults, config file, and CLI overrides; reject unknown keys."""
-    cfg = {key: default for key, (kinds, _, default) in CONFIG_KEYS.items()
-           if kinds == "*" or kind in kinds.split()}
+    cfg = {key: CONFIG_KEYS[key][2] for key in keys_of(kind)}
     cfg["kind"] = kind
     if path is not None:
         with open(path) as f:
@@ -83,6 +89,8 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
         for key, value in loaded.items():
             if key not in cfg:
                 raise ConfigurationError(f"unknown config key {key!r} for kind {kind!r}")
+            if key == "kind" and value != kind:
+                raise ConfigurationError(f"config file is for kind {value!r}, not {kind!r}")
             cfg[key] = value
     for key, value in overrides.items():
         if value is None:
@@ -135,11 +143,28 @@ def validate_config(cfg: dict) -> None:
             except (ValueError, ZeroDivisionError):
                 raise ConfigurationError(f"config key {key!r} is not a rational: "
                                          f"{cfg[key]!r}")
+    # the cheap objects the run builds first, so their own checks refuse
+    # the inputs outside the theory before any compute
+    if cfg["kind"] == "family":
+        recipe = _recipe_from(cfg)
+        _adjoint_degree(recipe.k, recipe.divisor, 0.0)
+    elif cfg["kind"] != "suite":
+        D = _divisor_from(cfg)
+        _adjoint_degree(cfg["k"], D, cfg.get("delta", 0.0))
+        if cfg["kind"] == "bergman":
+            bergman.section_range(1, cfg["p"], cfg["k"], D)
 
 
 def _divisor_from(cfg: dict) -> DivisorData:
-    return divisor(zero=Fraction(cfg.get("divisor_zero", "0")),
-                   infinity=Fraction(cfg.get("divisor_infinity", "0")))
+    return divisor(zero=Fraction(cfg["divisor_zero"]),
+                   infinity=Fraction(cfg["divisor_infinity"]))
+
+
+def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
+    """The family recipe named by ``recipe``; only ``conic`` reads ``a0``."""
+    kind = cfg["recipe"]
+    D = divisor(zero=Fraction(cfg["a0"])) if kind == "conic" else DivisorData()
+    return family_mod.FamilyRecipe(kind, cfg["k"], cfg["amplitude"], cfg["bump"], D)
 
 
 def _grid_from(cfg: dict):
@@ -195,9 +220,8 @@ def _run_ricci(cfg: dict, out: str) -> dict:
                                        stop_tol=cfg["stop_tol"], grid=grid,
                                        eps=cfg["eps"], delta=cfg["delta"],
                                        solver_tol=cfg["tol"])
-    rows = [(m, g, r, ni, res) for (m, g, r, ni, res, _) in trace.rows(cfg["p"])]
     write_csv(os.path.join(out, "trace.csv"),
-              ["m", "gap", "ratio", "norm_integral", "residual"], rows)
+              ["m", "gap", "ratio", "norm_integral", "residual"], trace.rows())
     residual = ricci_mod.fixed_point_residual(state)
     verdicts = {"converged": trace.gaps[-1] <= cfg["stop_tol"],
                 "no_ratio_violations": not trace.violations,
@@ -240,18 +264,9 @@ def _run_bergman(cfg: dict, out: str) -> dict:
 
 
 def _run_family(cfg: dict, out: str) -> dict:
-    if cfg["recipe"] == "product":
-        recipe = family_mod.product_family_recipe(cfg["k"])
-    elif cfg["recipe"] == "perturbed":
-        recipe = family_mod.perturbed_family_recipe(cfg["k"], cfg["amplitude"],
-                                                    cfg["bump"])
-    elif cfg["recipe"] == "conic":
-        recipe = family_mod.conic_family_recipe(cfg["k"], Fraction(cfg["a0"]),
-                                                cfg["amplitude"], cfg["bump"])
-    else:
-        raise ConfigurationError(f"unknown family recipe {cfg['recipe']!r}")
     base = np.linspace(cfg["base_min"], cfg["base_max"], cfg["base_count"])
-    fam = family_mod.build_family(recipe, base, make_grid(cfg["T"], cfg["fiber_n"]))
+    fam = family_mod.build_family(_recipe_from(cfg), base,
+                                  make_grid(cfg["T"], cfg["fiber_n"]))
     rel = family_mod.solve_fiberwise(fam)
     cert = family_mod.base_positivity_check(rel)
     bound = family_mod.uniform_sup_check(rel, (cfg["base_min"], cfg["base_max"]))
@@ -330,8 +345,7 @@ def emit_plotdata(trace_path: str, out: str) -> str:
         bound = np.full(gaps.size, np.nan)
         if gaps.size >= 2:
             # geometric envelope implied by the recorded ratios
-            bound = gaps[0] * (np.nanmax(data[1:, 2]) if data.shape[0] > 1 else 1.0) \
-                ** np.arange(gaps.size)
+            bound = gaps[0] * np.nanmax(data[1:, 2]) ** np.arange(gaps.size)
         path = os.path.join(out, "fig_contraction.csv")
         write_csv(path, ["m", "gap", "ratio", "bound"],
                   zip(data[:, 0].astype(int), gaps, data[:, 2], bound))
@@ -354,48 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="rotation-invariant Kahler-Einstein experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", help="flat JSON config file")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--T", type=float)
-        sp.add_argument("--N", type=int)
-
     for kind in KINDS:
         sp = sub.add_parser(kind, help=f"run a {kind} experiment")
-        add_common(sp)
-        if kind in ("solve", "ricci", "bergman", "family"):
-            sp.add_argument("--k", type=float)
-        if kind in ("solve", "ricci", "bergman"):
-            sp.add_argument("--divisor-zero", dest="divisor_zero")
-            sp.add_argument("--divisor-infinity", dest="divisor_infinity")
-            sp.add_argument("--eps", type=float)
-        if kind in ("solve", "ricci"):
-            sp.add_argument("--delta", type=float)
-        if kind == "solve":
-            sp.add_argument("--delta-schedule", dest="delta_schedule",
-                            help="comma-separated decreasing values")
-            sp.add_argument("--eps-schedule", dest="eps_schedule",
-                            help="comma-separated decreasing values")
-        if kind in ("ricci", "bergman"):
-            sp.add_argument("--p", type=int)
-        if kind == "ricci":
-            sp.add_argument("--m-max", dest="m_max", type=int)
-            sp.add_argument("--stop-tol", dest="stop_tol", type=float)
-        if kind == "bergman":
-            sp.add_argument("--m", type=int)
-            sp.add_argument("--ell-max", dest="ell_max", type=int)
-        if kind == "family":
-            sp.add_argument("--recipe")
-            sp.add_argument("--amplitude", type=float)
-            sp.add_argument("--bump")
-            sp.add_argument("--a0")
-            sp.add_argument("--base-count", dest="base_count", type=int)
-            sp.add_argument("--fiber-n", dest="fiber_n", type=int)
-        if kind == "suite":
-            sp.add_argument("--criteria",
-                            help="comma-separated criterion numbers, e.g. 1,4,7")
+        sp.add_argument("--config", help="flat JSON config file")
+        for key in keys_of(kind):
+            if key == "kind":
+                continue
+            typ = CONFIG_KEYS[key][1]
+            # load_config splits list values at commas
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            type=None if typ is list else typ,
+                            help="comma-separated" if typ is list else None)
 
     sp = sub.add_parser("plotdata", help="derive plot columns from a trace file")
     sp.add_argument("trace", help="trace.csv produced by a run")

@@ -30,6 +30,8 @@ from .masolver import SolveReport, ke_problem, solve_ke_ode
 DEFAULT_BASE = (-2.0, 2.0, 41)
 DEFAULT_FIBER_N = 1024
 POSITIVITY_TOL = 1e-6
+#: Newton tolerance of the fiber solves
+FIBER_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +177,7 @@ def default_base_nodes() -> np.ndarray:
 
 def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                  fiber_grid: RadialGrid | None = None, *,
-                 bypass_precheck: bool = False,
-                 tol: float = POSITIVITY_TOL) -> FiberFamily:
+                 bypass_precheck: bool = False) -> FiberFamily:
     """Assemble fiber twists and run the joint-positivity precheck.
 
     The precheck applies the 2x2 Hessian certificate to the twist matrix;
@@ -202,7 +203,7 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
 
     U = np.column_stack([w.values for w in twists])
     if base.size >= 3:
-        cert = hessian_certificate(U, grid.spacing, float(base[1] - base[0]), tol)
+        cert = hessian_certificate(U, grid.spacing, float(base[1] - base[0]))
     else:
         cert = {"passed": True, "note": "fewer than 3 base nodes, s-Hessian not testable"}
     if not cert["passed"] and not bypass_precheck:
@@ -228,14 +229,14 @@ class RelativePotential:
             object.__setattr__(self, name, readonly_array(getattr(self, name)))
 
 
-def solve_fiberwise(family: FiberFamily, tol: float = 1e-11) -> RelativePotential:
+def solve_fiberwise(family: FiberFamily) -> RelativePotential:
     """Solve the fiber equation in every base column."""
     cols, pots, reports = [], [], []
     for idx, twist in enumerate(family.twists):
         try:
             prob = ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
                               twist=twist)
-            rep = solve_ke_ode(prob, tol=tol)
+            rep = solve_ke_ode(prob, tol=FIBER_TOL)
         except (ConfigurationError, ConvergenceError) as exc:
             raise type(exc)(
                 f"fiber {idx} (s = {family.base_nodes[idx]:+.4f}) failed: {exc}")
@@ -329,11 +330,6 @@ def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     expo = (j / m + 1.0) * t - twist.values - a0 * t
     log_int = logsumexp(expo + np.log(grid.trapezoid_weights))
     return m * (math.log(2.0 * math.pi) + log_int)
-
-
-def ns_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
-    """Fiberwise section norm (positive real); see :func:`ns_log_norm`."""
-    return math.exp(ns_log_norm(j, m, fiber_index, family))
 
 
 def ns_convexity_check(j: int, m: int, family: FiberFamily,

@@ -226,21 +226,6 @@ class RadialWeight:
                             self.degree, curv)
 
 
-def from_profile(grid: RadialGrid, values: np.ndarray,
-                 slope_minus: Optional[float] = None,
-                 slope_plus: Optional[float] = None,
-                 degree: Optional[float] = None,
-                 curvature: Optional[np.ndarray] = None) -> RadialWeight:
-    """Wrap raw values; slopes default to one-sided end differences and the
-    degree defaults to ``slope_plus - slope_minus``."""
-    values = np.asarray(values, dtype=np.float64)
-    h = grid.spacing
-    s_minus = (values[1] - values[0]) / h if slope_minus is None else float(slope_minus)
-    s_plus = (values[-1] - values[-2]) / h if slope_plus is None else float(slope_plus)
-    deg = (s_plus - s_minus) if degree is None else float(degree)
-    return RadialWeight(grid, values, s_minus, s_plus, deg, curvature)
-
-
 def _softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
 
@@ -266,17 +251,6 @@ def kink_weight(grid: RadialGrid) -> RadialWeight:
     """``max(t, 0)``: degree 1, slopes (0, 1), curvature a unit ring mass."""
     t = grid.nodes
     return RadialWeight(grid, np.maximum(t, 0.0), 0.0, 1.0, 1.0)
-
-
-def linear_weight(a: float, grid: RadialGrid) -> RadialWeight:
-    """``a * t``, the canonical weight of the divisor ``a . {0}``.
-
-    Declared degree ``a``; its curvature is the point mass a at z = 0, so the
-    profile itself is flat (slopes (a, a), zero a.c. mass).
-    """
-    a = float(a)
-    return RadialWeight(grid, a * grid.nodes, a, a, a,
-                        np.zeros(grid.node_count))
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +354,6 @@ class DivisorData:
     def total(self) -> Fraction:
         return sum((c for _, c in self.terms), Fraction(0))
 
-    def shifted_by(self, delta: Fraction | float | str,
-                   c_zero: Fraction | float | str = Fraction(1, 2),
-                   c_infinity: Fraction | float | str = Fraction(1, 2)) -> "DivisorData":
-        """Coefficients enlarged by ``delta`` times the auxiliary ample-part
-        divisor: ``a_i + delta * c_i`` at each fixed point."""
-        delta = Fraction(delta)
-        if delta < 0:
-            raise ConfigurationError("delta shift must be >= 0")
-        shifts = {"zero": Fraction(c_zero), "infinity": Fraction(c_infinity)}
-        terms = []
-        for loc in ("zero", "infinity"):
-            coeff = self.coefficient(loc) + delta * shifts[loc]
-            if coeff:
-                terms.append((loc, coeff))
-        return DivisorData(tuple(terms))
-
 
 def divisor(zero: Fraction | float | str = 0, infinity: Fraction | float | str = 0) -> DivisorData:
     """Convenience constructor; coefficients may be Fractions, strings or floats."""
@@ -431,12 +389,6 @@ def divisor_frame_log(D: DivisorData, grid: RadialGrid, eps: float = 0.0) -> np.
             log_frame = np.logaddexp(log_frame, 2.0 * np.log(eps))
         out += float(coeff) * log_frame
     return out
-
-
-def divisor_frame_norm(D: DivisorData, grid: RadialGrid, eps: float = 0.0) -> np.ndarray:
-    """``prod_i (|s_i|^2 + eps^2)^{a_i}``, the divisor factor of the
-    Monge-Ampere density."""
-    return np.exp(divisor_frame_log(D, grid, eps))
 
 
 def divisor_log_weight(D: DivisorData, grid: RadialGrid) -> RadialWeight:

@@ -89,6 +89,3 @@ def weight_record(w: RadialWeight) -> dict:
         "convention_hash": CONVENTIONS_HASH,
     }
 
-
-def weight_to_json(w: RadialWeight, path: str) -> None:
-    write_json(path, weight_record(w))

@@ -41,6 +41,8 @@ from .kernels import logsumexp, tridiag_solve
 AMPLE_SHIFT_DEGREE = 1.0
 
 DEFAULT_TOL = 1e-10
+#: Newton iteration cap of :func:`solve_ke_ode`
+MAX_NEWTON_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -248,14 +250,13 @@ def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
     return r
 
 
-def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
-                 max_iter: int = 60, polish: bool = True) -> SolveReport:
+def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL) -> SolveReport:
     """Damped Newton solve of the assembled equation.
 
-    Succeeds once the residual sup-norm is below ``tol``; with ``polish`` the
-    iteration then continues while it keeps improving, so reported residuals
-    usually sit at the rounding floor.  Raises :class:`ConvergenceError` if
-    ``tol`` is not reached.
+    Iterates while the residual sup-norm keeps improving, at most
+    ``MAX_NEWTON_ITER`` times, so reported residuals usually sit at the
+    rounding floor.  Raises :class:`ConvergenceError` if the residual ends
+    above ``tol``.
     """
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -276,9 +277,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL,
     du[0] = -1.0
     du[-1] = 0.0
     iters = 0
-    while iters < max_iter:
-        if rnorm <= tol and not polish:
-            break
+    while iters < MAX_NEWTON_ITER:
         diag = np.empty(n)
         diag[1:-1] = -2.0 / h**2 - g[1:-1] * np.exp(v[1:-1])
         diag[0] = 1.0

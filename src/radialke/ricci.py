@@ -41,12 +41,6 @@ class RicciState:
     twist: Optional[RadialWeight] = None
     report: Optional[SolveReport] = None
 
-    @property
-    def potential(self) -> RadialWeight:
-        """Relative potential against ``p * phi_A`` (bounded profile)."""
-        d_bg = _adjoint_degree(self.k, self.divisor, self.delta)
-        return self.weight - fs_weight(self.p * d_bg, self.grid)
-
 
 @dataclass
 class RicciTrace:
@@ -56,14 +50,11 @@ class RicciTrace:
     residuals: list[float] = field(default_factory=list)
     violations: list[int] = field(default_factory=list)
 
-    def rows(self, p: int) -> list[tuple]:
-        bound = (p - 1) / p
-        out = []
-        for i, g in enumerate(self.gaps):
-            m = i + 1
-            r = self.ratios[i - 1] if i >= 1 else float("nan")
-            out.append((m, g, r, self.norm_integrals[i], self.residuals[i], bound))
-        return out
+    def rows(self) -> list[tuple]:
+        """``(m, gap, ratio, norm_integral, residual)`` per step; no ratio at m = 1."""
+        ratios = [float("nan")] + self.ratios
+        return list(zip(range(1, len(self.gaps) + 1), self.gaps, ratios,
+                        self.norm_integrals, self.residuals))
 
 
 def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
@@ -134,20 +125,19 @@ def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
               m_max: int = 200, stop_tol: float = DEFAULT_STOP,
               grid: RadialGrid | None = None, eps: float = 0.0,
               delta: float = 0.0, twist: RadialWeight | None = None,
-              solver_tol: float = 1e-10,
-              ratio_slack: float = RATIO_SLACK) -> tuple[RicciState, RicciTrace]:
+              solver_tol: float = 1e-10) -> tuple[RicciState, RicciTrace]:
     """Iterate until the sup-norm gap reaches ``stop_tol`` or ``m_max``.
 
     Records gaps, contraction ratios for m >= 2, per-step normalization
     integrals and solver residuals.  A ratio exceeding ``(p-1)/p`` by more
-    than ``ratio_slack`` is flagged in ``trace.violations`` rather than
+    than ``RATIO_SLACK`` is flagged in ``trace.violations`` rather than
     raised, so a contraction failure is a visible diagnostic.
     """
     if m_max < 2:
         raise ConfigurationError(f"m_max must be >= 2, got {m_max}")
     state = initial_state(k, divisor, p, grid, eps=eps, delta=delta, twist=twist)
     trace = RicciTrace()
-    bound = (p - 1) / p + ratio_slack
+    bound = (p - 1) / p + RATIO_SLACK
     prev_weight = state.weight
     for m in range(1, m_max + 1):
         state = ricci_step(state, tol=solver_tol)

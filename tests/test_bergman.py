@@ -83,17 +83,6 @@ def test_gram_symmetry(smooth_chain):
     np.testing.assert_allclose(log_g, log_g[::-1], rtol=1e-12)
 
 
-def test_gram_monotone_in_frac_eps(grid):
-    # the eps floor on the fractional frame raises the measure, so the Gram
-    # norms shrink together with eps
-    chain = bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=1, m=1, grid=grid)
-    basis = bergman.section_range(1, 1, 4.0, geo.divisor(zero="1/2"))
-    assert basis.j_min == 1  # ceil(1/2): fractional part 1/2 at this level
-    g_small = bergman.gram_diagonal(basis, chain, None, frac_eps=1e-3)
-    g_big = bergman.gram_diagonal(basis, chain, None, frac_eps=1e-1)
-    assert np.all(g_small < g_big)
-
-
 def test_gram_integrability_guard(grid):
     chain = bergman.build_chain(4.0, None, p=1, m=1, grid=grid)
     bad_tau = geo.fs_weight(1.0, grid)  # too little decay for the top exponent
@@ -245,7 +234,7 @@ def test_eps_chain_supports_gap_machinery_only(grid):
     # finite-eps runs are not convergence statements and say so
     chain = bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=2, m=1,
                                 grid=grid, eps=0.05)
-    run = bergman.run_levels(chain, 8, frac_eps=0.05)
+    run = bergman.run_levels(chain, 8)
     assert bergman.integral_chain_check(run)["holds"]
     assert all(np.isnan(c) for c in run.c_ells)
     with pytest.raises(ConfigurationError, match="eps = 0"):

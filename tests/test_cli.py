@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import radialke
-from radialke.cli import emit_plotdata, load_config, main
+from radialke.cli import (KINDS, build_parser, emit_plotdata, keys_of,
+                          load_config, main)
 from radialke.conventions import CONVENTIONS_HASH
 from radialke.errors import ConfigurationError
 from radialke.io import read_csv
@@ -63,35 +64,100 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("args", [
-    ["solve", "--eps-schedule", "0.1,abc"],
-    ["solve", "--eps-schedule", "0.1,nan"],
-    ["solve", "--delta-schedule", "0.1,0.1"],
-    ["solve", "--eps-schedule", "0.05,0.1"],
+    ["solve", "--eps-schedule", "0.1,abc", "--N", "257"],
+    ["solve", "--eps-schedule", "0.1,nan", "--N", "257"],
+    ["solve", "--delta-schedule", "0.1,0.1", "--N", "257"],
+    ["solve", "--eps-schedule", "0.05,0.1", "--N", "257"],
     ["suite", "--criteria", "1,x"],
     ["suite", "--criteria", "99"],
 ])
 def test_bad_list_key_is_config_error(tmp_path, capsys, args):
     out = tmp_path / "x"
-    assert run_cli(args + ["--out", str(out), "--N", "257"]) == 2
+    assert run_cli(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not out.exists()  # rejected before any compute
 
 
 @pytest.mark.parametrize("args,key", [
-    (["solve", "--eps", "-1"], "eps"),
-    (["solve", "--delta", "-0.5"], "delta"),
-    (["ricci", "--m-max", "0"], "m_max"),
-    (["ricci", "--m-max", "1"], "m_max"),
-    (["bergman", "--m", "0"], "m"),
-    (["ricci", "--stop-tol", "-1"], "stop_tol"),
+    (["solve", "--eps", "-1", "--N", "257"], "eps"),
+    (["solve", "--delta", "-0.5", "--N", "257"], "delta"),
+    (["ricci", "--m-max", "0", "--N", "257"], "m_max"),
+    (["ricci", "--m-max", "1", "--N", "257"], "m_max"),
+    (["bergman", "--m", "0", "--N", "257"], "m"),
+    (["ricci", "--stop-tol", "-1", "--N", "257"], "stop_tol"),
     (["family", "--fiber-n", "2"], "fiber_n"),
 ])
 def test_out_of_range_key_is_config_error(tmp_path, capsys, args, key):
     out = tmp_path / "x"
-    assert run_cli(args + ["--out", str(out), "--N", "257"]) == 2
+    assert run_cli(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and repr(key) in err
     assert not out.exists()  # rejected before any compute
+
+
+@pytest.mark.parametrize("args", [
+    ["family", "--recipe", "bogus"],
+    ["family", "--bump", "bogus"],
+    ["family", "--recipe", "conic", "--a0", "0"],
+    ["family", "--recipe", "conic", "--a0", "1"],
+    ["family", "--k", "2.4", "--recipe", "conic"],
+    ["family", "--base-count", "2"],
+    ["solve", "--k", "2"],
+    ["solve", "--delta", "3"],
+    ["ricci", "--k", "2.5", "--divisor-zero", "1/2"],
+    ["bergman", "--k", "2.5", "--divisor-zero", "1/2"],
+    ["bergman", "--k", "4.5"],
+])
+def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
+    # the library's own checks on recipes, adjoint degrees and section
+    # windows run in validate_config, not after the output directory exists
+    out = tmp_path / "x"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+UNREAD_KEYS = [("solve", "seed", 3), ("ricci", "seed", 3), ("bergman", "seed", 3),
+               ("family", "seed", 3), ("bergman", "tol", 1e-3),
+               ("family", "tol", 1e-3), ("suite", "tol", 0.5), ("suite", "T", 2.0),
+               ("family", "N", 7), ("suite", "N", 5)]
+
+
+@pytest.mark.parametrize("kind,key,value", UNREAD_KEYS)
+def test_unread_key_is_refused(kind, key, value):
+    with pytest.raises(ConfigurationError):
+        load_config(None, {key: value}, kind)
+
+
+@pytest.mark.parametrize("kind", ["suite", "bogus"])
+def test_config_file_for_another_kind_is_refused(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind}))
+    out = tmp_path / "x"
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+def test_unread_key_is_refused_from_file_and_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 7}))
+    out = tmp_path / "x"
+    assert run_cli(["family", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bergman", "--tol", "1e-3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_every_config_key_is_a_flag_of_its_kinds():
+    parser = build_parser()
+    for kind in KINDS:
+        for key in keys_of(kind)[1:]:
+            args = parser.parse_args([kind, "--" + key.replace("_", "-"), "1"])
+            assert vars(args)[key] is not None
+    assert sum(len(keys_of(kind)) - 1 for kind in KINDS) == 47
 
 
 def test_cli_import_stays_numpy_only():
@@ -111,7 +177,7 @@ def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run_cli(["ricci", "--out", str(out), "--k", "4", "--p", "2",
-                        "--N", "512", "--seed", "7"]) == 0
+                        "--N", "512"]) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
 
 

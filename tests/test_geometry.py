@@ -79,7 +79,7 @@ def test_fs_weight_rejects_negative(grid):
 
 def test_convexity_flag_fails_for_concave_perturbation(grid):
     w = geo.fs_weight(4.0, grid)
-    bad = geo.from_profile(grid, w.values - 0.5 * grid.nodes ** 2)
+    bad = geo.RadialWeight(grid, w.values - 0.5 * grid.nodes ** 2, 0.0, 4.0, 4.0)
     assert not bad.is_positively_curved()
 
 
@@ -119,7 +119,7 @@ def test_lelong_smooth(grid):
 
 
 def test_lelong_linear_part(grid):
-    w = geo.linear_weight(0.75, grid) + geo.fs_weight(4.0, grid)
+    w = geo.divisor_log_weight(geo.divisor(zero=0.75), grid) + geo.fs_weight(4.0, grid)
     nu0, nu_inf = geo.lelong_numbers(w)
     assert nu0 == pytest.approx(0.75)
     assert nu_inf == pytest.approx(0.0)
@@ -217,13 +217,13 @@ def test_mollify_rejects_bad_scale(grid):
 # ---------------------------------------------------------------------------
 
 def test_divisor_frame_norm_empty_is_one(grid):
-    f = geo.divisor_frame_norm(geo.DivisorData(), grid)
+    f = np.exp(geo.divisor_frame_log(geo.DivisorData(), grid))
     np.testing.assert_allclose(f, 1.0)
 
 
 def test_divisor_frame_asymptote(grid):
     D = geo.divisor(zero=Fraction(1, 2))
-    f = geo.divisor_frame_norm(D, grid)
+    f = np.exp(geo.divisor_frame_log(D, grid))
     t = grid.nodes
     left = t < -10
     np.testing.assert_allclose(f[left], np.exp(0.5 * t[left]), rtol=1e-4)
@@ -231,7 +231,7 @@ def test_divisor_frame_asymptote(grid):
 
 def test_divisor_frame_eps_floor(grid):
     D = geo.divisor(zero=Fraction(1, 2))
-    f = geo.divisor_frame_norm(D, grid, eps=0.1)
+    f = np.exp(geo.divisor_frame_log(D, grid, eps=0.1))
     assert f[0] == pytest.approx(0.1, rel=1e-10)
 
 
@@ -247,16 +247,6 @@ def test_divisor_log_weight_bookkeeping(grid):
     w = geo.divisor_log_weight(D, grid)
     assert geo.lelong_numbers(w) == (0.5, 0.25)
     assert geo.weight_mass(w) == pytest.approx(0.0)
-
-
-def test_divisor_delta_shift():
-    D = geo.divisor(zero=Fraction(1, 2))
-    Dd = D.shifted_by(Fraction(1, 10))
-    assert Dd.coefficient("zero") == Fraction(11, 20)
-    assert Dd.coefficient("infinity") == Fraction(1, 20)
-    assert Dd.total == D.total + Fraction(1, 10)
-    with pytest.raises(ConfigurationError):
-        D.shifted_by(-1)
 
 
 def test_divisor_eps_weight_decreases_to_canonical(grid):
@@ -286,7 +276,7 @@ def test_weight_round_trips_to_csv_and_json(tmp_path):
     np.testing.assert_allclose(data[:, 1], w.values)
     np.testing.assert_allclose(data[:, 3], w.curvature)
 
-    rio.weight_to_json(w, str(tmp_path / "w.json"))
+    rio.write_json(str(tmp_path / "w.json"), rio.weight_record(w))
     rec = json.loads((tmp_path / "w.json").read_text())
     assert rec["degree"] == 3.0
     assert rec["slope_plus"] == 3.0

@@ -90,10 +90,11 @@ def test_adjoint_degree_guard(grid):
         ma.ke_problem(3.0, grid=grid, delta=1.5)
 
 
-def test_newton_reports_divergence(grid):
+def test_newton_reports_divergence(grid, monkeypatch):
     prob = ma.ke_problem(4.0, grid=grid)
+    monkeypatch.setattr(ma, "MAX_NEWTON_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        ma.solve_ke_ode(prob, tol=1e-10, max_iter=2)
+        ma.solve_ke_ode(prob, tol=1e-10)
     assert err.value.residual is not None
 
 
