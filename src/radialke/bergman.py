@@ -421,10 +421,3 @@ def integral_chain_check(run: BergmanRun, rel_tol: float = 1e-8) -> dict:
         "final_integral": float(math.exp(run.chain_log_integrals[-1] -
                                          math.lgamma(counts.size + 1) / counts.size)),
     }
-
-
-def c_ell_trend(run: BergmanRun) -> np.ndarray:
-    """Per-level growth margin ``C_l - C_{l-1} - log l`` of the kernel infimum."""
-    c = np.array(run.c_ells)
-    ells = np.arange(2, c.size + 1)
-    return c[1:] - c[:-1] - np.log(ells)

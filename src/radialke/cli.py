@@ -14,6 +14,7 @@ per executed check.  Exit status is 0 only if every verdict passed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -78,9 +79,11 @@ def keys_of(kind: str) -> list[str]:
 
 
 def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
-    """Merge defaults, config file, and CLI overrides; reject unknown keys."""
+    """Merge defaults, config file, and CLI overrides; reject unknown keys
+    and, for ``family``, keys the chosen recipe does not read."""
     cfg = {key: CONFIG_KEYS[key][2] for key in keys_of(kind)}
     cfg["kind"] = kind
+    given = set()  # keys set by the file or a flag, not by the defaults
     if path is not None:
         with open(path) as f:
             loaded = json.load(f)
@@ -92,12 +95,14 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
             if key == "kind" and value != kind:
                 raise ConfigurationError(f"config file is for kind {value!r}, not {kind!r}")
             cfg[key] = value
+            given.add(key)
     for key, value in overrides.items():
         if value is None:
             continue
         if key not in cfg:
             raise ConfigurationError(f"option {key!r} does not apply to kind {kind!r}")
         cfg[key] = value
+        given.add(key)
     # type coercion and basic validation; lists come comma-separated from flags
     for key, value in list(cfg.items()):
         _, typ, _ = CONFIG_KEYS[key]
@@ -113,6 +118,13 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
         except (TypeError, ValueError):
             raise ConfigurationError(f"config key {key!r} expects {typ.__name__}, "
                                      f"got {value!r}")
+    if kind == "family":
+        # the recipe-dependent keys; ``k`` is read by every recipe
+        reads = inspect.signature(_recipe_constructor(cfg["recipe"])).parameters
+        unread = sorted(given & {"amplitude", "bump", "a0"} - set(reads))
+        if unread:
+            raise ConfigurationError(f"config key {unread[0]!r} is not read by "
+                                     f"family recipe {cfg['recipe']!r}")
     return cfg
 
 
@@ -160,11 +172,21 @@ def _divisor_from(cfg: dict) -> DivisorData:
                    infinity=Fraction(cfg["divisor_infinity"]))
 
 
+def _recipe_constructor(name: str):
+    """Constructor of the family recipe ``name``; its parameters are the
+    config keys that recipe reads."""
+    constructors = {"product": family_mod.product_family_recipe,
+                    "perturbed": family_mod.perturbed_family_recipe,
+                    "conic": family_mod.conic_family_recipe}
+    if name not in constructors:
+        raise ConfigurationError(f"unknown family recipe {name!r}")
+    return constructors[name]
+
+
 def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
-    """The family recipe named by ``recipe``; only ``conic`` reads ``a0``."""
-    kind = cfg["recipe"]
-    D = divisor(zero=Fraction(cfg["a0"])) if kind == "conic" else DivisorData()
-    return family_mod.FamilyRecipe(kind, cfg["k"], cfg["amplitude"], cfg["bump"], D)
+    """The family recipe named by ``recipe``, from the keys it reads."""
+    make = _recipe_constructor(cfg["recipe"])
+    return make(**{key: cfg[key] for key in inspect.signature(make).parameters})
 
 
 def _grid_from(cfg: dict):

@@ -230,13 +230,20 @@ class RelativePotential:
 
 
 def solve_fiberwise(family: FiberFamily) -> RelativePotential:
-    """Solve the fiber equation in every base column."""
+    """Solve the fiber equation in every base column.
+
+    Continuation in the base coordinate: the first fiber starts flat and
+    each later one from its predecessor's potential.  Neighbouring fibers
+    share the background, so the start is already close and the solution
+    is the cold start's up to rounding.
+    """
     cols, pots, reports = [], [], []
     for idx, twist in enumerate(family.twists):
         try:
             prob = ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
                               twist=twist)
-            rep = solve_ke_ode(prob, tol=FIBER_TOL)
+            rep = solve_ke_ode(prob, tol=FIBER_TOL,
+                               v0=pots[-1] if pots else None)
         except (ConfigurationError, ConvergenceError) as exc:
             raise type(exc)(
                 f"fiber {idx} (s = {family.base_nodes[idx]:+.4f}) failed: {exc}")

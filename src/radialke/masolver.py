@@ -19,7 +19,11 @@ Solutions are found by damped Newton iteration on the bounded correction
 ``v = u - u_ref`` with discrete Neumann conditions ``v'(+-T) = 0``.  Each
 step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``;
 damping halves the step until the residual decreases, which for this
-monotone semilinear problem converges from the flat start.
+monotone semilinear problem converges from any bounded start.  Chained
+solves (the p-step iteration, neighbouring fibers of a family, the
+regularization diagonal) therefore start from their neighbour's potential
+instead of the flat ``v = 0``, and every solve stops as soon as a full
+Newton step falls to the rounding floor (``STOP_FACTOR``).
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ AMPLE_SHIFT_DEGREE = 1.0
 DEFAULT_TOL = 1e-10
 #: Newton iteration cap of :func:`solve_ke_ode`
 MAX_NEWTON_ITER = 60
+#: a Newton step with ``max|step| <= STOP_FACTOR * (1 + max|v|)`` is at the
+#: rounding floor of ``v``: :func:`solve_ke_ode` takes it only if it lowers
+#: the residual, then stops
+STOP_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -250,13 +258,20 @@ def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
     return r
 
 
-def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
+                 v0: Optional[np.ndarray] = None) -> SolveReport:
     """Damped Newton solve of the assembled equation.
 
-    Iterates while the residual sup-norm keeps improving, at most
-    ``MAX_NEWTON_ITER`` times, so reported residuals usually sit at the
-    rounding floor.  Raises :class:`ConvergenceError` if the residual ends
-    above ``tol``.
+    Starts from the bounded correction ``v0`` (``None``: the flat start
+    ``v = 0``); a chained caller passes its neighbour's potential, which the
+    monotone damping turns into the same solution up to rounding.  Iterates
+    while the residual sup-norm keeps improving, at most ``MAX_NEWTON_ITER``
+    times.  A Newton step no larger than ``STOP_FACTOR * (1 + max|v|)`` is
+    at the rounding floor: it is taken only if it lowers the residual, and
+    the solve stops there without a damping sweep.  Any other step is halved
+    until the residual decreases, and the solve stops when no halving down
+    to ``1e-10`` does.  Raises :class:`ConvergenceError` if the residual
+    ends above ``tol``.
     """
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -267,7 +282,8 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL) -> SolveReport:
     chi_curv = prob.background.curvature_profile()
     g = np.exp(prob.log_density_at_background())
 
-    v = np.zeros(n)
+    # a copy: the report freezes its potential in place
+    v = np.zeros(n) if v0 is None else np.array(v0, dtype=np.float64)
     res = newton_residual(v, h, chi_curv, g)
     rnorm = float(np.max(np.abs(res)))
     dl = np.full(n, 1.0 / h**2)
@@ -283,6 +299,8 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL) -> SolveReport:
         diag[0] = 1.0
         diag[-1] = 1.0
         step = tridiag_solve(dl, diag, du, -res)
+        # a step at the rounding floor is taken whole or not at all
+        at_floor = np.max(np.abs(step)) <= STOP_FACTOR * (1.0 + np.max(np.abs(v)))
         alpha, improved = 1.0, False
         while alpha > 1e-10:
             v_new = v + alpha * step
@@ -291,11 +309,14 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL) -> SolveReport:
             if rnorm_new < rnorm:
                 improved = True
                 break
+            if at_floor:
+                break
             alpha *= 0.5
-        if not improved:
+        if improved:
+            iters += 1
+            v, res, rnorm = v_new, res_new, rnorm_new
+        if at_floor or not improved:
             break  # rounding floor reached
-        iters += 1
-        v, res, rnorm = v_new, res_new, rnorm_new
     if rnorm > tol:
         raise ConvergenceError(
             f"Newton stalled at residual {rnorm:.3e} after {iters} iterations "
@@ -367,7 +388,9 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     reports: list[SolveReport] = []
     trace: list[float] = []
     for d, e in zip(deltas, epses):
-        rep = solve_ke_ode(base.with_regularization(d, e), tol=tol)
+        # each solve starts from its predecessor's potential on the diagonal
+        rep = solve_ke_ode(base.with_regularization(d, e), tol=tol,
+                           v0=reports[-1].potential if reports else None)
         if reports:
             trace.append(float(np.max(np.abs(rep.potential - reports[-1].potential))))
         reports.append(rep)

@@ -78,8 +78,14 @@ def _step_problem(state: RicciState) -> MAProblem:
 
 
 def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
-    """Advance the iteration by one solve against the current weight."""
-    rep = solve_ke_ode(_step_problem(state), tol=tol)
+    """Advance the iteration by one solve against the current weight.
+
+    The solve starts from the current weight's correction to the step's
+    background, which is 0 at m = 0 and the previous step's solution after.
+    """
+    prob = _step_problem(state)
+    rep = solve_ke_ode(prob, tol=tol,
+                       v0=state.weight.values - prob.background.values)
     return replace(state, m=state.m + 1, weight=rep.solution, report=rep)
 
 

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import radialke
+from radialke import cli
 from radialke.cli import (KINDS, build_parser, emit_plotdata, keys_of,
                           load_config, main)
 from radialke.conventions import CONVENTIONS_HASH
 from radialke.errors import ConfigurationError
+from radialke.family import perturbed_family_recipe
+from radialke.geometry import divisor
 from radialke.io import read_csv
 
 
@@ -149,6 +152,43 @@ def test_unread_key_is_refused_from_file_and_flag(tmp_path, capsys):
         run_cli(["bergman", "--tol", "1e-3", "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args,key,recipe", [
+    (["--recipe", "product", "--amplitude", "0.3", "--a0", "2/3"], "a0", "product"),
+    (["--recipe", "product", "--amplitude", "0.05"], "amplitude", "product"),
+    (["--recipe", "product", "--bump", "cauchy_bump"], "bump", "product"),
+    (["--a0", "1/3"], "a0", "perturbed"),
+    (["--recipe", "perturbed", "--a0", "1/2"], "a0", "perturbed"),
+])
+def test_key_unread_by_recipe_is_config_error(tmp_path, capsys, args, key, recipe):
+    out = tmp_path / "x"
+    assert run_cli(["family"] + args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err and repr(recipe) in err
+    assert not out.exists()
+
+
+def test_key_unread_by_recipe_is_refused_from_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recipe": "product", "amplitude": 0.05}))
+    out = tmp_path / "x"
+    assert run_cli(["family", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'amplitude'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_recipe_reads_only_its_keys():
+    # defaults of the keys a recipe does not read are merged but never set
+    for recipe in ("product", "perturbed", "conic"):
+        load_config(None, {"recipe": recipe}, "family")
+    cfg = load_config(None, {"recipe": "conic", "a0": "1/3", "amplitude": 0.03,
+                             "bump": "log_bump"}, "family")
+    built = cli._recipe_from(cfg)
+    assert (built.kind, built.amplitude, built.bump) == ("conic", 0.03, "log_bump")
+    assert built.divisor == divisor(zero="1/3")
+    cfg = load_config(None, {"recipe": "perturbed", "amplitude": 0.07}, "family")
+    assert cli._recipe_from(cfg) == perturbed_family_recipe(4.0, 0.07)
 
 
 def test_every_config_key_is_a_flag_of_its_kinds():

@@ -1,0 +1,135 @@
+"""Warm-started Newton solves: the chained callers start from a neighbour's
+potential and must still return the cold (flat-start) answer, with a
+deterministic number of tridiagonal solves."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from radialke import family as fam
+from radialke import geometry as geo
+from radialke import masolver as ma
+from radialke import ricci
+
+GRID_1024 = geo.make_grid(30.0, 1024)
+BASE_41 = np.linspace(-2.0, 2.0, 41)
+SOLVE = ma.solve_ke_ode
+
+
+def cold_solve(prob, tol=ma.DEFAULT_TOL, *, v0=None):
+    """The cold oracle: the same solve from the flat start, ``v0`` ignored."""
+    return SOLVE(prob, tol)
+
+
+def count_tridiag(monkeypatch) -> list:
+    """Count the tridiagonal solves of every Newton step from here on."""
+    calls = []
+    solve = ma.tridiag_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(ma, "tridiag_solve", counted)
+    return calls
+
+
+def family_41(recipe):
+    return fam.build_family(recipe, BASE_41, GRID_1024)
+
+
+# ---------------------------------------------------------------------------
+# warm starts give the cold answer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")])
+def test_ricci_warm_run_matches_cold(monkeypatch, p, D):
+    kwargs = dict(m_max=200, stop_tol=1e-10, grid=GRID_1024)
+    warm, warm_trace = ricci.run_ricci(4.0, D, p, **kwargs)
+    monkeypatch.setattr(ricci, "solve_ke_ode", cold_solve)
+    cold, cold_trace = ricci.run_ricci(4.0, D, p, **kwargs)
+    assert warm.m == cold.m
+    assert warm_trace.violations == cold_trace.violations
+    assert abs(max(warm_trace.ratios) - max(cold_trace.ratios)) <= 1e-9
+    assert np.max(np.abs(warm.weight.values - cold.weight.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("recipe", [fam.perturbed_family_recipe(4.0, 0.05),
+                                    fam.conic_family_recipe(4.0, "1/2", 0.05)],
+                         ids=["perturbed", "conic"])
+def test_fiberwise_continuation_matches_cold(monkeypatch, recipe):
+    f = family_41(recipe)
+    warm = fam.solve_fiberwise(f)
+    monkeypatch.setattr(fam, "solve_ke_ode", cold_solve)
+    cold = fam.solve_fiberwise(f)
+    assert np.max(np.abs(warm.weights - cold.weights)) <= 1e-12
+
+
+def test_diagonal_warm_chain_matches_cold(monkeypatch):
+    base = ma.ke_problem(4.0, geo.divisor(zero="1/2"), GRID_1024)
+    sched = [0.1 * 0.5 ** i for i in range(6)]
+    warm = ma.regularized_diagonal(base, sched, sched)
+    monkeypatch.setattr(ma, "solve_ke_ode", cold_solve)
+    cold = ma.regularized_diagonal(base, sched, sched)
+    assert warm.converged == cold.converged
+    for w, c in zip(warm.reports, cold.reports, strict=True):
+        assert np.max(np.abs(w.potential - c.potential)) <= 1e-12
+
+
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")])
+def test_damping_contract_from_any_start(D):
+    prob = ma.ke_problem(4.0, D, geo.default_grid())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = ma.solve_ke_ode(prob)
+        again = ma.solve_ke_ode(prob, v0=ref.potential)
+        assert again.iterations <= 1
+        assert np.max(np.abs(again.potential - ref.potential)) <= 1e-13
+        for shift in (3.0, -3.0):
+            far = ma.solve_ke_ode(prob, v0=ref.potential + shift)
+            assert np.max(np.abs(far.potential - ref.potential)) <= 1e-13
+            assert far.residual <= ma.DEFAULT_TOL
+
+
+def test_step_at_rounding_floor_ends_without_halving_sweep(monkeypatch):
+    prob = ma.ke_problem(4.0, grid=GRID_1024)
+    ref = ma.solve_ke_ode(prob)
+    calls = count_tridiag(monkeypatch)
+    residuals = []
+    residual = ma.newton_residual
+
+    def counted(*args):
+        residuals.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(ma, "newton_residual", counted)
+    ma.solve_ke_ode(prob, v0=ref.potential)
+    # one Newton step, tried once in full: no halvings to prove the stall
+    assert len(calls) == 1 and len(residuals) == 2
+
+
+# ---------------------------------------------------------------------------
+# work-count guard: tridiagonal solves per chained solve
+# ---------------------------------------------------------------------------
+
+def test_ricci_tridiag_budget(monkeypatch):
+    calls = count_tridiag(monkeypatch)
+    state, _ = ricci.run_ricci(4.0, None, 3, grid=GRID_1024)
+    assert len(calls) <= 4 * state.m
+
+
+def test_fiberwise_tridiag_budget(monkeypatch):
+    f = family_41(fam.perturbed_family_recipe(4.0, 0.05))
+    calls = count_tridiag(monkeypatch)
+    fam.solve_fiberwise(f)
+    assert len(calls) <= 5 * f.base_count
+
+
+def test_diagonal_tridiag_budget(monkeypatch):
+    base = ma.ke_problem(4.0, grid=geo.make_grid(30.0, 4096))
+    sched = [0.1 * 0.5 ** i for i in range(12)]
+    calls = count_tridiag(monkeypatch)
+    ma.regularized_diagonal(base, sched, sched)
+    assert len(calls) <= 5 * len(sched)
