@@ -119,12 +119,17 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
             raise ConfigurationError(f"config key {key!r} expects {typ.__name__}, "
                                      f"got {value!r}")
     if kind == "family":
-        # the recipe-dependent keys; ``k`` is read by every recipe
+        # the recipe-dependent keys; ``k`` is read by every recipe.  A key the
+        # recipe does not read is refused when set and dropped as a default,
+        # so the manifest echoes only what the run read
         reads = inspect.signature(_recipe_constructor(cfg["recipe"])).parameters
-        unread = sorted(given & {"amplitude", "bump", "a0"} - set(reads))
-        if unread:
-            raise ConfigurationError(f"config key {unread[0]!r} is not read by "
+        unread = {"amplitude", "bump", "a0"} - set(reads)
+        refused = sorted(given & unread)
+        if refused:
+            raise ConfigurationError(f"config key {refused[0]!r} is not read by "
                                      f"family recipe {cfg['recipe']!r}")
+        for key in unread:
+            del cfg[key]
     return cfg
 
 
@@ -145,6 +150,10 @@ def validate_config(cfg: dict) -> None:
     for key in ("delta_schedule", "eps_schedule"):
         if cfg.get(key):
             check_schedule(key.split("_")[0], cfg[key])
+    if cfg["kind"] == "family" and cfg["base_min"] >= cfg["base_max"]:
+        raise ConfigurationError(
+            "config keys 'base_min' and 'base_max' must satisfy base_min < "
+            f"base_max, got {cfg['base_min']} and {cfg['base_max']}")
     unknown = set(cfg.get("criteria") or ()) - {cid for cid, _, _ in suite.CRITERIA}
     if unknown:
         raise ConfigurationError(f"unknown criteria in 'criteria': {sorted(unknown)}")

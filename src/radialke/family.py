@@ -25,7 +25,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, fs_weight,
                        make_grid, readonly_array)
 from .kernels import logsumexp
-from .masolver import SolveReport, ke_problem, solve_ke_ode
+from .masolver import SolveReport, chained_start, ke_problem, solve_ke_ode
 
 DEFAULT_BASE = (-2.0, 2.0, 41)
 DEFAULT_FIBER_N = 1024
@@ -115,7 +115,10 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
     Second differences on interior nodes give the (t,t), (s,s) and mixed
     entries; the test is ``tt >= -tol * scale`` and ``det >= -tol * scale``
     with scales set by the largest observed entries, so discretization noise
-    where the Hessian is tiny does not produce false failures.
+    where the Hessian is tiny does not produce false failures.  The
+    location of an entry's minimum is reported only when that entry fails
+    its bound (``None`` otherwise): the minimum of a passing entry is
+    rounding noise and its location says nothing about the weight.
     """
     if U.shape[0] < 3 or U.shape[1] < 3:
         raise ConfigurationError("hessian check needs at least 3 nodes per axis")
@@ -130,15 +133,16 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
     i_det = np.unravel_index(int(np.argmin(det)), det.shape)
     min_tt = float(tt[i_tt])
     min_det = float(det[i_det])
-    ok = (min_tt >= -tol * scale_tt) and (min_det >= -tol * scale_det)
+    tt_ok = min_tt >= -tol * scale_tt
+    det_ok = min_det >= -tol * scale_det
     return {
-        "passed": bool(ok),
+        "passed": bool(tt_ok and det_ok),
         "min_tt": min_tt,
         "min_det": min_det,
         "max_abs_mixed": float(np.max(np.abs(ts))),
         "max_abs_ss": float(np.max(np.abs(ss))),
-        "tt_location": (int(i_tt[0]) + 1, int(i_tt[1]) + 1),
-        "det_location": (int(i_det[0]) + 1, int(i_det[1]) + 1),
+        "tt_location": None if tt_ok else (int(i_tt[0]) + 1, int(i_tt[1]) + 1),
+        "det_location": None if det_ok else (int(i_det[0]) + 1, int(i_det[1]) + 1),
         "tol": tol,
         "scale_tt": scale_tt,
         "scale_det": scale_det,
@@ -207,10 +211,11 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     else:
         cert = {"passed": True, "note": "fewer than 3 base nodes, s-Hessian not testable"}
     if not cert["passed"] and not bypass_precheck:
-        raise ConfigurationError(
-            "family twist fails joint positivity: min det "
-            f"{cert['min_det']:.3e} at interior node {cert['det_location']}, "
-            f"min tt {cert['min_tt']:.3e}")
+        failing = [f"min {entry} {cert['min_' + entry]:.3e} at interior node "
+                   f"{cert[entry + '_location']}" for entry in ("det", "tt")
+                   if cert[entry + "_location"] is not None]
+        raise ConfigurationError("family twist fails joint positivity: "
+                                 + ", ".join(failing))
     return FiberFamily(recipe, base, grid, tuple(twists), cert,
                        bool(cert["passed"]))
 
@@ -232,18 +237,18 @@ class RelativePotential:
 def solve_fiberwise(family: FiberFamily) -> RelativePotential:
     """Solve the fiber equation in every base column.
 
-    Continuation in the base coordinate: the first fiber starts flat and
-    each later one from its predecessor's potential.  Neighbouring fibers
-    share the background, so the start is already close and the solution
-    is the cold start's up to rounding.
+    Continuation in the base coordinate: the first fiber starts flat, the
+    next two from their predecessor's potential, and every later one from
+    the extrapolation of its last two neighbours (``chained_start``).
+    Neighbouring fibers share the background, so the start is already close
+    and the solution is the cold start's up to rounding.
     """
     cols, pots, reports = [], [], []
     for idx, twist in enumerate(family.twists):
         try:
             prob = ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
                               twist=twist)
-            rep = solve_ke_ode(prob, tol=FIBER_TOL,
-                               v0=pots[-1] if pots else None)
+            rep = solve_ke_ode(prob, tol=FIBER_TOL, v0=chained_start(pots))
         except (ConfigurationError, ConvergenceError) as exc:
             raise type(exc)(
                 f"fiber {idx} (s = {family.base_nodes[idx]:+.4f}) failed: {exc}")
@@ -260,7 +265,8 @@ def base_positivity_check(rel: RelativePotential,
 
     Both the fiber-direction entry and the determinant of the (t, s) Hessian
     must be nonnegative up to scaled tolerance at every interior node; the
-    certificate carries the global minima and their locations.
+    certificate carries the global minima and the location of each failing
+    one.
     """
     if rel.family.base_count < 3:
         raise ConfigurationError("positivity check needs at least 3 base nodes")

@@ -21,9 +21,12 @@ step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``;
 damping halves the step until the residual decreases, which for this
 monotone semilinear problem converges from any bounded start.  Chained
 solves (the p-step iteration, neighbouring fibers of a family, the
-regularization diagonal) therefore start from their neighbour's potential
-instead of the flat ``v = 0``, and every solve stops as soon as a full
-Newton step falls to the rounding floor (``STOP_FACTOR``).
+regularization diagonal) therefore start from a prediction instead of the
+flat ``v = 0``: their neighbour's potential, and once two differences along
+the chain exist, its extrapolation :func:`predicted_start` (the predictor of
+a predictor-corrector continuation, with Newton as the corrector).  Every
+solve stops as soon as a full Newton step falls to the rounding floor
+(``STOP_FACTOR``).
 """
 
 from __future__ import annotations
@@ -258,20 +261,45 @@ def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
     return r
 
 
+def predicted_start(v: np.ndarray, dv: np.ndarray,
+                    dv_prev: np.ndarray) -> np.ndarray:
+    """Newton start for the next solve of a chain: ``v + rho * dv``.
+
+    ``v`` is the last solution, ``dv`` the last difference along the chain
+    and ``dv_prev`` the one before.  ``rho = min(|dv|_inf / |dv_prev|_inf, 1)``
+    is the observed contraction of the differences, so a geometric chain is
+    continued exactly and the start never goes past linear extrapolation;
+    ``rho = 0`` (the neighbour start) when ``dv_prev`` vanishes.
+    """
+    prev = float(np.max(np.abs(dv_prev)))
+    rho = min(float(np.max(np.abs(dv))) / prev, 1.0) if prev > 0 else 0.0
+    return v + rho * dv
+
+
+def chained_start(solved: Sequence[np.ndarray]) -> Optional[np.ndarray]:
+    """Start for the next solve of a chain from the potentials solved so far,
+    oldest first: the flat start (``None``) for the first solve, the last
+    potential while fewer than three exist, :func:`predicted_start` after."""
+    if len(solved) < 3:
+        return solved[-1] if solved else None
+    return predicted_start(solved[-1], solved[-1] - solved[-2],
+                           solved[-2] - solved[-3])
+
+
 def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
                  v0: Optional[np.ndarray] = None) -> SolveReport:
     """Damped Newton solve of the assembled equation.
 
     Starts from the bounded correction ``v0`` (``None``: the flat start
-    ``v = 0``); a chained caller passes its neighbour's potential, which the
-    monotone damping turns into the same solution up to rounding.  Iterates
-    while the residual sup-norm keeps improving, at most ``MAX_NEWTON_ITER``
-    times.  A Newton step no larger than ``STOP_FACTOR * (1 + max|v|)`` is
-    at the rounding floor: it is taken only if it lowers the residual, and
-    the solve stops there without a damping sweep.  Any other step is halved
-    until the residual decreases, and the solve stops when no halving down
-    to ``1e-10`` does.  Raises :class:`ConvergenceError` if the residual
-    ends above ``tol``.
+    ``v = 0``); a chained caller passes its :func:`chained_start`, a
+    prediction from its neighbours, which the monotone damping turns into
+    the same solution up to rounding.  Iterates while the residual sup-norm
+    keeps improving, at most ``MAX_NEWTON_ITER`` times.  A Newton step no
+    larger than ``STOP_FACTOR * (1 + max|v|)`` is at the rounding floor: it
+    is taken only if it lowers the residual, and the solve stops there
+    without a damping sweep.  Any other step is halved until the residual
+    decreases, and the solve stops when no halving down to ``1e-10`` does.
+    Raises :class:`ConvergenceError` if the residual ends above ``tol``.
     """
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
@@ -374,10 +402,12 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     """Walk the (delta, eps) regularization family down a joint diagonal.
 
     Schedules are paired index by index (the shorter one is held at its last
-    value); successive bounded potentials are compared in sup norm.  The
-    diagonal is declared convergent when the distance trace has collapsed by
-    at least a factor four from its peak; otherwise the result is returned
-    with ``converged=False`` and the trace attached.
+    value); each solve starts from :func:`chained_start` of the potentials
+    before it on the diagonal, and successive bounded potentials are
+    compared in sup norm.  The diagonal is declared convergent when the
+    distance trace has collapsed by at least a factor four from its peak;
+    otherwise the result is returned with ``converged=False`` and the trace
+    attached.
     """
     deltas = check_schedule("delta", delta_schedule)
     epses = check_schedule("eps", eps_schedule)
@@ -388,9 +418,8 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     reports: list[SolveReport] = []
     trace: list[float] = []
     for d, e in zip(deltas, epses):
-        # each solve starts from its predecessor's potential on the diagonal
         rep = solve_ke_ode(base.with_regularization(d, e), tol=tol,
-                           v0=reports[-1].potential if reports else None)
+                           v0=chained_start([r.potential for r in reports]))
         if reports:
             trace.append(float(np.max(np.abs(rep.potential - reports[-1].potential))))
         reports.append(rep)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_log_weight, fs_weight, lelong_numbers)
-from .masolver import (MAProblem, SolveReport, _adjoint_degree,
+from .masolver import (MAProblem, SolveReport, _adjoint_degree, chained_start,
                        newton_residual, ricci_problem, solve_ke_ode)
 
 RATIO_SLACK = 1e-3
@@ -40,6 +40,8 @@ class RicciState:
     delta: float = 0.0
     twist: Optional[RadialWeight] = None
     report: Optional[SolveReport] = None
+    #: values of the (at most two) weights before ``weight``, oldest first
+    earlier: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -72,6 +74,11 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
 
 
 def _step_problem(state: RicciState) -> MAProblem:
+    """The problem coupled against ``state.weight``.  Only the previous
+    iterate changes between steps, so a state with a report reuses the
+    problem its step assembled."""
+    if state.report is not None:
+        return replace(state.report.problem, prev=state.weight)
     return ricci_problem(state.k, state.divisor, state.p, state.weight,
                          state.grid, eps=state.eps, delta=state.delta,
                          twist=state.twist)
@@ -80,13 +87,17 @@ def _step_problem(state: RicciState) -> MAProblem:
 def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
     """Advance the iteration by one solve against the current weight.
 
-    The solve starts from the current weight's correction to the step's
-    background, which is 0 at m = 0 and the previous step's solution after.
+    The solve starts from ``chained_start`` of the weights so far, as
+    corrections to the step's background: 0 at m = 0, the previous step's
+    solution at m = 1, and from m = 2 on the extrapolation along the step
+    differences, which contract geometrically.
     """
     prob = _step_problem(state)
-    rep = solve_ke_ode(prob, tol=tol,
-                       v0=state.weight.values - prob.background.values)
-    return replace(state, m=state.m + 1, weight=rep.solution, report=rep)
+    chain = state.earlier + (state.weight.values,)
+    v0 = chained_start([w - prob.background.values for w in chain])
+    rep = solve_ke_ode(prob, tol=tol, v0=v0)
+    return replace(state, m=state.m + 1, weight=rep.solution, report=rep,
+                   earlier=chain[-2:])
 
 
 def normalize_constant(state: RicciState) -> dict:

@@ -98,6 +98,17 @@ def test_out_of_range_key_is_config_error(tmp_path, capsys, args, key):
     assert not out.exists()  # rejected before any compute
 
 
+@pytest.mark.parametrize("lo,hi", [("2", "-2"), ("1", "1")])
+def test_empty_base_range_is_config_error(tmp_path, capsys, lo, hi):
+    out = tmp_path / "x"
+    assert run_cli(["family", "--base-min", lo, "--base-max", hi,
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "'base_min'" in err and "'base_max'" in err
+    assert not out.exists()  # rejected before any compute
+
+
 @pytest.mark.parametrize("args", [
     ["family", "--recipe", "bogus"],
     ["family", "--bump", "bogus"],
@@ -189,6 +200,17 @@ def test_recipe_reads_only_its_keys():
     assert built.divisor == divisor(zero="1/3")
     cfg = load_config(None, {"recipe": "perturbed", "amplitude": 0.07}, "family")
     assert cli._recipe_from(cfg) == perturbed_family_recipe(4.0, 0.07)
+
+
+@pytest.mark.parametrize("recipe,echoed", [
+    ("product", set()), ("perturbed", {"amplitude", "bump"})])
+def test_family_manifest_echoes_only_keys_the_recipe_reads(tmp_path, recipe,
+                                                           echoed):
+    out = tmp_path / recipe
+    assert run_cli(["family", "--recipe", recipe, "--base-count", "5",
+                    "--fiber-n", "129", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert {"amplitude", "bump", "a0"} & set(config) == echoed
 
 
 def test_every_config_key_is_a_flag_of_its_kinds():

@@ -42,8 +42,12 @@ def test_perturbed_precheck_passes(perturbed):
 
 
 def test_concave_coupling_rejected_with_offending_node():
-    with pytest.raises(ConfigurationError, match="interior node"):
-        fam.build_family(fam.perturbed_family_recipe(4.0, -0.05), BASE_9, GRID_257)
+    recipe = fam.perturbed_family_recipe(4.0, -0.05)
+    failing = fam.build_family(recipe, BASE_9, GRID_257,
+                               bypass_precheck=True).precheck["det_location"]
+    with pytest.raises(ConfigurationError, match="interior node") as exc:
+        fam.build_family(recipe, BASE_9, GRID_257)
+    assert str(failing) in str(exc.value)
 
 
 def test_large_cauchy_bump_rejected():
@@ -110,6 +114,8 @@ def test_perturbed_positivity_certificate(perturbed):
     cert = fam.base_positivity_check(rel, tol=1e-6)
     assert cert["passed"]
     assert cert["min_det"] >= -1e-6 * cert["scale_det"]
+    # a passing minimum is rounding noise: no location is reported for it
+    assert cert["tt_location"] is None and cert["det_location"] is None
 
 
 def test_control_family_fails_positivity():
@@ -119,6 +125,11 @@ def test_control_family_fails_positivity():
     cert = fam.base_positivity_check(rel)
     assert not cert["passed"]
     assert cert["min_det"] < -1e-3  # decisively negative, not noise
+    assert cert["tt_location"] is None  # the fiber direction stays convex
+    i, j = cert["det_location"]  # the failing node, checked on its own
+    local = fam.hessian_certificate(rel.weights[i - 1:i + 2, j - 1:j + 2],
+                                    GRID_257.spacing, float(BASE_9[1] - BASE_9[0]))
+    assert local["min_det"] == cert["min_det"]
 
 
 def test_positivity_needs_three_base_nodes():

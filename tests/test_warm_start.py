@@ -1,6 +1,6 @@
-"""Warm-started Newton solves: the chained callers start from a neighbour's
-potential and must still return the cold (flat-start) answer, with a
-deterministic number of tridiagonal solves."""
+"""Warm-started Newton solves: the chained callers start from a prediction
+from their neighbours and must still return the cold (flat-start) answer,
+with a deterministic number of tridiagonal solves."""
 
 import warnings
 
@@ -37,6 +37,51 @@ def count_tridiag(monkeypatch) -> list:
 
 def family_41(recipe):
     return fam.build_family(recipe, BASE_41, GRID_1024)
+
+
+# ---------------------------------------------------------------------------
+# the predictor and the reused step problem
+# ---------------------------------------------------------------------------
+
+def test_predicted_start_without_previous_difference_is_neighbour():
+    v = np.array([0.25, -1.5, 3.0])
+    dv = np.array([0.5, 0.0, -0.25])
+    # identical fibers (the product family) make the previous difference 0
+    assert np.array_equal(ma.predicted_start(v, dv, np.zeros(3)), v)
+
+
+def test_predicted_start_caps_at_linear_extrapolation():
+    v = np.array([1.0, 2.0, -4.0])
+    dv = np.array([0.5, -3.0, 1.0])
+    assert np.array_equal(ma.predicted_start(v, dv, 0.01 * dv), v + dv)
+
+
+def test_predicted_start_continues_geometric_chain_exactly():
+    x = np.array([1.0, -2.0, 0.5, 8.0])
+    d = np.array([4.0, -1.0, 2.0, 0.25])
+    chain = [x + d * (2.0 - 2.0 ** (1 - n)) for n in range(5)]  # ratio 1/2
+    for n in range(2, 4):
+        got = ma.predicted_start(chain[n], chain[n] - chain[n - 1],
+                                 chain[n - 1] - chain[n - 2])
+        assert np.array_equal(got, chain[n + 1])
+    assert ma.chained_start([]) is None
+    assert ma.chained_start(chain[:2]) is chain[1]
+    assert np.array_equal(ma.chained_start(chain[:3]), chain[3])
+
+
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")],
+                         ids=["smooth", "half-zero"])
+def test_reused_step_problem_is_bitwise_fresh(D):
+    state = ricci.initial_state(4.0, D, 3, GRID_1024)
+    for _ in range(2):
+        state = ricci.ricci_step(state)
+        reused = ricci._step_problem(state)
+        fresh = ma.ricci_problem(4.0, D, 3, state.weight, GRID_1024)
+        assert reused.prev is state.weight
+        assert np.array_equal(reused.log_density_at_background(),
+                              fresh.log_density_at_background())
+        assert np.array_equal(reused.background.curvature_profile(),
+                              fresh.background.curvature_profile())
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +162,14 @@ def test_step_at_rounding_floor_ends_without_halving_sweep(monkeypatch):
 def test_ricci_tridiag_budget(monkeypatch):
     calls = count_tridiag(monkeypatch)
     state, _ = ricci.run_ricci(4.0, None, 3, grid=GRID_1024)
-    assert len(calls) <= 4 * state.m
+    assert len(calls) <= 2 * state.m
 
 
 def test_fiberwise_tridiag_budget(monkeypatch):
     f = family_41(fam.perturbed_family_recipe(4.0, 0.05))
     calls = count_tridiag(monkeypatch)
     fam.solve_fiberwise(f)
-    assert len(calls) <= 5 * f.base_count
+    assert len(calls) <= 3.5 * f.base_count
 
 
 def test_diagonal_tridiag_budget(monkeypatch):
@@ -132,4 +177,4 @@ def test_diagonal_tridiag_budget(monkeypatch):
     sched = [0.1 * 0.5 ** i for i in range(12)]
     calls = count_tridiag(monkeypatch)
     ma.regularized_diagonal(base, sched, sched)
-    assert len(calls) <= 5 * len(sched)
+    assert len(calls) <= 3.5 * len(sched)
