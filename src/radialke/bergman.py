@@ -32,7 +32,8 @@ from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_eps_weight, divisor_frame_log, fs_weight,
                        readonly_array)
-from .kernels import affine_lse_profile, affine_lse_quadrature, logsumexp
+from .kernels import (BlockLayout, affine_lse_profile, affine_lse_quadrature,
+                      block_layout, logsumexp)
 from .masolver import ke_problem, solve_ke_ode
 from . import ricci as ricci_mod
 
@@ -73,12 +74,18 @@ class SectionBasis:
         return np.arange(self.j_min, self.j_max + 1, dtype=np.float64)
 
 
+_STEP_DEGREES: dict[tuple[int, float], int] = {}
+
+
 def _step_degree(p: int, k: float) -> int:
-    d1 = Fraction(p) * (Fraction(k).limit_denominator(10**9) - 2)
-    if d1.denominator != 1 or d1 <= 0:
-        raise ConfigurationError(
-            f"level bundle degree p*(k-2) = {d1} must be a positive integer")
-    return int(d1)
+    """``p (k - 2)``, computed once per ``(p, k)``: every level asks for it."""
+    if (p, k) not in _STEP_DEGREES:
+        d1 = Fraction(p) * (Fraction(k).limit_denominator(10**9) - 2)
+        if d1.denominator != 1 or d1 <= 0:
+            raise ConfigurationError(
+                f"level bundle degree p*(k-2) = {d1} must be a positive integer")
+        _STEP_DEGREES[p, k] = int(d1)
+    return _STEP_DEGREES[p, k]
 
 
 def section_range(level: int, p: int, k: float,
@@ -195,12 +202,15 @@ class BergmanLevel:
 
 
 def gram_diagonal(basis: SectionBasis, chain: WeightChain,
-                  prev: Optional[BergmanLevel] = None) -> np.ndarray:
+                  prev: Optional[BergmanLevel] = None, *,
+                  layout: Optional[BlockLayout] = None) -> np.ndarray:
     """Log Gram norms of the monomial sections at one level.
 
     The inner product weight is the previous kernel times ``e^{-tau}``; the
     measure picks up the canonical ``2 pi e^t dt`` pairing.  Off-diagonal
     entries vanish identically by rotation symmetry and are not computed.
+    ``layout``, if given, is the kernels' block layout of the chain's nodes
+    for the basis exponents.
     """
     grid = chain.tau.grid
     t = grid.nodes
@@ -220,16 +230,23 @@ def gram_diagonal(basis: SectionBasis, chain: WeightChain,
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
     logw = np.log(grid.trapezoid_weights)
     offsets = np.zeros(basis.n_sections)
-    return affine_lse_quadrature(t, logw, basis.exponents, offsets, base)
+    return affine_lse_quadrature(t, logw, basis.exponents, offsets, base,
+                                 layout=layout)
 
 
 def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLevel:
-    """Advance the kernel recursion by one level (``prev=None`` starts at 1)."""
+    """Advance the kernel recursion by one level (``prev=None`` starts at 1).
+
+    The Gram quadrature and the kernel profile run on the same nodes and
+    exponents, so they share one block layout.
+    """
     level = 1 if prev is None else prev.level + 1
     basis = section_range(level, chain.p, chain.k, chain.divisor)
-    log_gram = gram_diagonal(basis, chain, prev)
     grid = chain.tau.grid
-    kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram)
+    layout = block_layout(grid.nodes, basis.exponents)
+    log_gram = gram_diagonal(basis, chain, prev, layout=layout)
+    kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
+                                    layout=layout)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
                          float(basis.j_max), float(basis.degree))
     return BergmanLevel(basis, log_gram, kappa)

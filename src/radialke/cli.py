@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, bergman, family as family_mod, ricci as ricci_mod, suite
 from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import DivisorData, divisor, make_grid
+from .geometry import DivisorData, divisor, make_grid, weight_mass
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
 from .masolver import (_adjoint_degree, check_schedule, closed_form_error,
                        ke_problem, regularized_diagonal, solve_ke_ode)
@@ -165,15 +165,26 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigurationError(f"config key {key!r} is not a rational: "
                                          f"{cfg[key]!r}")
     # the cheap objects the run builds first, so their own checks refuse
-    # the inputs outside the theory before any compute
+    # the inputs outside the theory before any compute.  Every Newton solve
+    # checks the curvature mass of its problem's background (``weight_mass``),
+    # which fails on a grid too coarse or too short for the profile
     if cfg["kind"] == "family":
         recipe = _recipe_from(cfg)
-        _adjoint_degree(recipe.k, recipe.divisor, 0.0)
+        weight_mass(ke_problem(recipe.k, recipe.divisor,
+                               make_grid(cfg["T"], cfg["fiber_n"])).background)
     elif cfg["kind"] != "suite":
         D = _divisor_from(cfg)
-        _adjoint_degree(cfg["k"], D, cfg.get("delta", 0.0))
+        delta = cfg.get("delta", 0.0)
+        _adjoint_degree(cfg["k"], D, delta)
         if cfg["kind"] == "bergman":
             bergman.section_range(1, cfg["p"], cfg["k"], D)
+        grid = _grid_from(cfg)
+        if cfg["kind"] != "solve":  # the p-step iteration's background
+            weight_mass(ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid,
+                                                delta=delta).weight)
+        if cfg["kind"] == "solve" or (cfg["kind"] == "bergman" and cfg["p"] == 1
+                                      and cfg["eps"] == 0):  # a direct solve
+            weight_mass(ke_problem(cfg["k"], D, grid, delta=delta).background)
 
 
 def _divisor_from(cfg: dict) -> DivisorData:

@@ -5,6 +5,7 @@ import pytest
 
 from radialke import bergman
 from radialke import geometry as geo
+from radialke import kernels
 from radialke.errors import ConfigurationError
 
 
@@ -95,6 +96,20 @@ def test_gram_integrability_guard(grid):
 # ---------------------------------------------------------------------------
 # level recursion
 # ---------------------------------------------------------------------------
+
+def test_run_builds_one_block_layout_per_level(smooth_chain, monkeypatch):
+    # the Gram quadrature and the kernel profile of a level share one layout
+    built, build = [], kernels.block_layout
+
+    def counted(t, slopes):
+        built.append(slopes.size)
+        return build(t, slopes)
+
+    monkeypatch.setattr(kernels, "block_layout", counted)
+    monkeypatch.setattr(bergman, "block_layout", counted)
+    run = bergman.run_levels(smooth_chain, 12)
+    assert built == run.n_sections == [2 * ell + 1 for ell in range(1, 13)]
+
 
 def test_first_level_from_empty_chain(smooth_chain):
     lv = bergman.bergman_step(None, smooth_chain)

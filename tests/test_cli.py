@@ -131,6 +131,25 @@ def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--N", "3"],
+    ["solve", "--N", "4"],
+    ["solve", "--T", "5", "--N", "513"],
+    ["ricci", "--N", "3"],
+    ["bergman", "--N", "3"],
+    ["bergman", "--N", "4"],
+    ["family", "--fiber-n", "3", "--base-count", "3"],
+])
+def test_grid_too_coarse_for_background_is_config_error(tmp_path, capsys, args):
+    # the background's curvature mass check every Newton solve makes runs
+    # in validate_config, not after the output directory exists
+    out = tmp_path / "x"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "mass" in err
+    assert not out.exists()
+
+
 UNREAD_KEYS = [("solve", "seed", 3), ("ricci", "seed", 3), ("bergman", "seed", 3),
                ("family", "seed", 3), ("bergman", "tol", 1e-3),
                ("family", "tol", 1e-3), ("suite", "tol", 0.5), ("suite", "T", 2.0),

@@ -154,7 +154,9 @@ def _bergman_shaped(slopes, n=11888):
     return t, logw, offsets, base
 
 
-@pytest.mark.parametrize("lo,hi", [(0, 400), (50, 350)])
+# (1600, 2000): the slopes of a level-1000 recursion, where CAP, not
+# sqrt(n), sets the block width (21 nodes)
+@pytest.mark.parametrize("lo,hi", [(0, 400), (50, 350), (1600, 2000)])
 def test_lse_kernels_bergman_sizes_match_dense(lo, hi):
     slopes = np.arange(lo, hi + 1, dtype=np.float64)
     t, logw, offsets, base = _bergman_shaped(slopes)
@@ -208,19 +210,84 @@ def test_lse_quadrature_zero_weight_run():
     assert _normwise(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-3])  # steep: narrow blocks; flat: wide
-def test_lse_kernels_allocate_no_dense_grid(scale):
+def _peak_bytes(call) -> int:
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])  # steep: narrow blocks; flat: wide
+def test_lse_kernels_allocate_no_dense_grid(scale):
+    # besides the layout, a call keeps one nb x J block matrix alive (plus
+    # node-sized vectors), never the dense n x J grid
     slopes = np.arange(0.0, 401.0) * scale
     t, logw, offsets, base = _bergman_shaped(np.arange(0.0, 401.0))
+    layout = kernels.block_layout(t, slopes)
+    block_bytes = layout.ts.nbytes
+    layout_bytes = layout.e.nbytes + layout.ts.nbytes
     dense_bytes = t.size * slopes.size * 8
-    for call in (lambda: kernels.affine_lse_profile(t, slopes, offsets),
-                 lambda: kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)):
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < dense_bytes
+    for call in (lambda **kw: kernels.affine_lse_profile(t, slopes, offsets, **kw),
+                 lambda **kw: kernels.affine_lse_quadrature(t, logw, slopes, offsets,
+                                                            base, **kw)):
+        fresh = _peak_bytes(call)
+        assert fresh < dense_bytes
+        assert fresh - layout_bytes <= 2 * block_bytes
+        assert _peak_bytes(lambda: call(layout=layout)) <= 2 * block_bytes
+
+
+@pytest.mark.parametrize("n,lo,hi", [(11888, 0, 400), (11888, 1600, 2000),
+                                     (2001, 0, 6)])
+def test_lse_kernels_shared_layout_is_bitwise_fresh(n, lo, hi):
+    slopes = np.arange(lo, hi + 1, dtype=np.float64)
+    t, logw, offsets, base = _bergman_shaped(slopes, n)
+    layout = kernels.block_layout(t, slopes)
+    for _ in range(2):  # the layout is read, never written
+        assert np.array_equal(
+            kernels.affine_lse_profile(t, slopes, offsets, layout=layout),
+            kernels.affine_lse_profile(t, slopes, offsets))
+        assert np.array_equal(
+            kernels.affine_lse_quadrature(t, logw, slopes, offsets, base,
+                                          layout=layout),
+            kernels.affine_lse_quadrature(t, logw, slopes, offsets, base))
+    assert not (layout.e.flags.writeable or layout.ts.flags.writeable)
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from radialke import kernels
+digest = hashlib.sha256()
+for n, lo, hi in ((5865, 0, 90), (11888, 0, 400), (11888, 1600, 2000)):
+    rng = np.random.default_rng(n + lo)
+    t = np.linspace(-87.0, 87.0, n)
+    slopes = np.arange(lo, hi + 1, dtype=np.float64)
+    offsets = -np.cumsum(rng.uniform(0.5, 2.0, slopes.size))
+    base = t - (hi + 2.0) * np.logaddexp(0.0, t)
+    logw = np.full(n, np.log(t[1] - t[0]))
+    digest.update(kernels.affine_lse_profile(t, slopes, offsets).tobytes())
+    digest.update(kernels.affine_lse_quadrature(t, logw, slopes, offsets,
+                                                base).tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+def test_lse_kernels_bitwise_across_blas_threads():
+    # a threaded GEMM's bits depend on where it splits its output; at these
+    # shapes (levels 45, 200 and 1000 of a p = 1 recursion) one GEMM per
+    # call gave different bits under one and two OpenBLAS threads
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        digests.add(subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                                   check=True, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
