@@ -29,9 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
-                       divisor_eps_weight, divisor_frame_log, fs_weight,
-                       readonly_array)
+from .geometry import (DivisorData, RadialGrid, RadialWeight,
+                       divisor_eps_weight, divisor_frame_log, readonly_array)
 from .kernels import (BlockLayout, affine_lse_profile, affine_lse_quadrature,
                       block_layout, logsumexp)
 from .masolver import ke_problem, solve_ke_ode
@@ -160,8 +159,6 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     """
     if m < 1:
         raise ConfigurationError(f"outer index m must be >= 1, got {m}")
-    D = D or DivisorData()
-    grid = grid or default_grid()
     state = ricci_mod.initial_state(k, D, p, grid, eps=eps, twist=twist)
     for _ in range(m - 1):
         state = ricci_mod.ricci_step(state)
@@ -169,10 +166,10 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     state = ricci_mod.ricci_step(state)
     w_m = state.weight
 
+    D, grid = state.problem.divisor, state.problem.grid
     div_weight = divisor_eps_weight(D, grid, eps)
-    twist_used = twist if twist is not None else fs_weight(k, grid)
     tau = (w_prev.scaled((p - 1) / p) + div_weight.scaled(float(p - 1))
-           + twist_used).shifted(-math.log(p))
+           + state.problem.recipe.twist).shifted(-math.log(p))
     target = w_m + div_weight.scaled(float(p))
 
     route = float("nan")
@@ -228,10 +225,9 @@ def gram_diagonal(basis: SectionBasis, chain: WeightChain,
             f"gram integrand grows at t -> +inf (slope {hi}) at level {basis.level}")
 
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
-    logw = np.log(grid.trapezoid_weights)
     offsets = np.zeros(basis.n_sections)
-    return affine_lse_quadrature(t, logw, basis.exponents, offsets, base,
-                                 layout=layout)
+    return affine_lse_quadrature(t, grid.log_trapezoid_weights, basis.exponents,
+                                 offsets, base, layout=layout)
 
 
 def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLevel:
@@ -339,7 +335,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
                       target=chain.target.resampled(wide))
     run = BergmanRun(chain_w, wide)
     t = wide.nodes
-    logw = np.log(wide.trapezoid_weights)
+    logw = wide.log_trapezoid_weights
     win = wide.window(*WINDOW)
     target = chain_w.target.values
     log_n_sum = 0.0

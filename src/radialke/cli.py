@@ -28,17 +28,17 @@ import numpy as np
 from . import __version__, bergman, family as family_mod, ricci as ricci_mod, suite
 from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import DivisorData, divisor, make_grid, weight_mass
+from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (_adjoint_degree, check_schedule, closed_form_error,
-                       ke_problem, regularized_diagonal, solve_ke_ode)
+from .masolver import (check_schedule, closed_form_error, ke_problem,
+                       regularized_diagonal, solve_ke_ode)
 
 # flat config schema: key -> (kinds whose runs read it, type, default); every
 # key but ``kind`` is also the flag ``--key-with-dashes`` of those kinds
 CONFIG_KEYS = {
     "kind": ("*", str, None),
     "out": ("*", str, "runs/out"),
-    "seed": ("suite", int, 20240801),
+    "seed": ("suite", int, suite.DEFAULT_SEED),
     "tol": ("solve ricci", float, 1e-10),
     "T": ("solve ricci bergman family", float, 30.0),
     "N": ("solve ricci bergman", int, 4096),
@@ -103,7 +103,8 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
             raise ConfigurationError(f"option {key!r} does not apply to kind {kind!r}")
         cfg[key] = value
         given.add(key)
-    # type coercion and basic validation; lists come comma-separated from flags
+    # type coercion, the one path for file and flag values alike; flags
+    # arrive as strings, lists comma-separated
     for key, value in list(cfg.items()):
         _, typ, _ = CONFIG_KEYS[key]
         if value is None:
@@ -111,11 +112,11 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
         try:
             if typ is list:
                 elem = int if key == "criteria" else float
-                cfg[key] = [elem(x) for x in (value.split(",") if isinstance(value, str)
-                                              else value)]
+                cfg[key] = [_coerce(elem, x) for x in
+                            (value.split(",") if isinstance(value, str) else value)]
             else:
-                cfg[key] = typ(value)
-        except (TypeError, ValueError):
+                cfg[key] = _coerce(typ, value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError(f"config key {key!r} expects {typ.__name__}, "
                                      f"got {value!r}")
     if kind == "family":
@@ -131,6 +132,17 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
         for key in unread:
             del cfg[key]
     return cfg
+
+
+def _coerce(typ: type, value):
+    """``value`` as ``typ``; a number is never a boolean, and an int is
+    never truncated from a fractional value."""
+    if typ is not str and isinstance(value, bool):
+        raise TypeError(value)
+    out = typ(value)
+    if typ is int and out != value and not isinstance(value, str):
+        raise ValueError(value)
+    return out
 
 
 def validate_config(cfg: dict) -> None:
@@ -165,26 +177,25 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigurationError(f"config key {key!r} is not a rational: "
                                          f"{cfg[key]!r}")
     # the cheap objects the run builds first, so their own checks refuse
-    # the inputs outside the theory before any compute.  Every Newton solve
-    # checks the curvature mass of its problem's background (``weight_mass``),
-    # which fails on a grid too coarse or too short for the profile
+    # the inputs outside the theory before any compute: adjoint degrees,
+    # density slopes and the background's curvature mass, which fails on a
+    # grid too coarse or too short for the profile
     if cfg["kind"] == "family":
         recipe = _recipe_from(cfg)
-        weight_mass(ke_problem(recipe.k, recipe.divisor,
-                               make_grid(cfg["T"], cfg["fiber_n"])).background)
+        ke_problem(recipe.k, recipe.divisor, make_grid(cfg["T"], cfg["fiber_n"]))
     elif cfg["kind"] != "suite":
         D = _divisor_from(cfg)
+        grid = _grid_from(cfg)
         delta = cfg.get("delta", 0.0)
-        _adjoint_degree(cfg["k"], D, delta)
+        if cfg["kind"] == "solve":
+            ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=delta)
+        else:  # the p-step iteration's first step
+            ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid, eps=cfg["eps"],
+                                    delta=delta)
         if cfg["kind"] == "bergman":
             bergman.section_range(1, cfg["p"], cfg["k"], D)
-        grid = _grid_from(cfg)
-        if cfg["kind"] != "solve":  # the p-step iteration's background
-            weight_mass(ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid,
-                                                delta=delta).weight)
-        if cfg["kind"] == "solve" or (cfg["kind"] == "bergman" and cfg["p"] == 1
-                                      and cfg["eps"] == 0):  # a direct solve
-            weight_mass(ke_problem(cfg["k"], D, grid, delta=delta).background)
+            if cfg["p"] == 1 and cfg["eps"] == 0:  # the route-agreement solve
+                ke_problem(cfg["k"], D, grid)
 
 
 def _divisor_from(cfg: dict) -> DivisorData:
@@ -416,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys_of(kind):
             if key == "kind":
                 continue
-            typ = CONFIG_KEYS[key][1]
-            # load_config splits list values at commas
+            # flag values stay strings: load_config coerces them as it does
+            # the file's, and splits list values at commas
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            type=None if typ is list else typ,
-                            help="comma-separated" if typ is list else None)
+                            help="comma-separated"
+                            if CONFIG_KEYS[key][1] is list else None)
 
     sp = sub.add_parser("plotdata", help="derive plot columns from a trace file")
     sp.add_argument("trace", help="trace.csv produced by a run")

@@ -341,7 +341,7 @@ def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
             f"section z^{j} not integrable for this twist (end slopes "
             f"{slope_lo}, {slope_hi})")
     expo = (j / m + 1.0) * t - twist.values - a0 * t
-    log_int = logsumexp(expo + np.log(grid.trapezoid_weights))
+    log_int = logsumexp(expo + grid.log_trapezoid_weights)
     return m * (math.log(2.0 * math.pi) + log_int)
 
 

@@ -52,9 +52,17 @@ class RadialGrid:
 
     half_width: float
     nodes: np.ndarray
+    #: trapezoid quadrature weights of the nodes and their logs, computed
+    #: once per grid (every quadrature reads them) and read-only
+    trapezoid_weights: np.ndarray = field(init=False, compare=False)
+    log_trapezoid_weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", readonly_array(self.nodes))
+        w = np.full(self.node_count, self.spacing)
+        w[[0, -1]] *= 0.5
+        object.__setattr__(self, "trapezoid_weights", readonly_array(w))
+        object.__setattr__(self, "log_trapezoid_weights", readonly_array(np.log(w)))
 
     @property
     def node_count(self) -> int:
@@ -63,13 +71,6 @@ class RadialGrid:
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.nodes.size - 1)
-
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.node_count, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
 
     def window(self, lo: float, hi: float) -> np.ndarray:
         """Boolean mask of nodes inside [lo, hi]."""

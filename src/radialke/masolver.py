@@ -32,7 +32,7 @@ solve stops as soon as a full Newton step falls to the rounding floor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,9 +73,11 @@ class MAProblem:
     """One assembled Monge-Ampere instance.
 
     ``background`` doubles as the Newton reference: the solution carries its
-    slopes and its mass (``mass = weight_mass(background)``).  ``twist`` is
-    the assembled twist slot, including any frame logs the constructor moved
-    into it.  ``coupling``/``prev`` add the optional ``- c * u_prev`` term.
+    slopes and its mass, ``mass = weight_mass(background)``, checked where
+    the problem is built (also by ``replace``), so a grid too coarse for the
+    background fails before any solve.  ``twist`` is the assembled twist
+    slot, including any frame logs the constructor moved into it.
+    ``coupling``/``prev`` add the optional ``- c * u_prev`` term.
     """
 
     background: RadialWeight
@@ -86,6 +88,7 @@ class MAProblem:
     coupling: float = 0.0
     prev: Optional[RadialWeight] = None
     recipe: Optional[Recipe] = None
+    mass: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 <= self.coupling < 1.0):
@@ -95,14 +98,11 @@ class MAProblem:
         if self.coupling > 0 and self.prev is None:
             raise ConfigurationError("coupled problem needs a previous iterate")
         self._slope_check()
+        object.__setattr__(self, "mass", weight_mass(self.background))
 
     @property
     def grid(self) -> RadialGrid:
         return self.background.grid
-
-    @property
-    def mass(self) -> float:
-        return weight_mass(self.background)
 
     def _frame_end_slopes(self) -> tuple[float, float]:
         if self.eps > 0 or self.divisor.is_empty:
@@ -174,8 +174,8 @@ def ke_problem(k: float, D: DivisorData | None = None,
     """
     D = D or DivisorData()
     grid = grid or default_grid()
-    twist_raw = twist if twist is not None else fs_weight(k, grid)
     d_bg = _adjoint_degree(k, D, delta)
+    twist_raw = twist if twist is not None else fs_weight(k, grid)
 
     background = fs_weight(d_bg, grid) + divisor_log_weight(D, grid)
     twist_used = mollify_weight(twist_raw, eps) if eps > 0 else twist_raw
@@ -209,8 +209,8 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
         raise ConfigurationError(f"step count p must be >= 1, got {p}")
     D = D or DivisorData()
     grid = grid or default_grid()
-    twist_raw = twist if twist is not None else fs_weight(k, grid)
     d_bg = _adjoint_degree(k, D, delta)
+    twist_raw = twist if twist is not None else fs_weight(k, grid)
 
     background = fs_weight(p * d_bg, grid)
     twist_used = mollify_weight(twist_raw, eps) if eps > 0 else twist_raw
@@ -351,8 +351,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
             f"(tol {tol:.1e})", residual=rnorm)
 
     density = g * np.exp(v)
-    mass = prob.mass
-    mass_defect = abs(float(np.sum(grid.trapezoid_weights * density)) - mass)
+    mass_defect = abs(float(np.sum(grid.trapezoid_weights * density)) - prob.mass)
     solution = RadialWeight(grid, chi + v, prob.background.slope_minus,
                             prob.background.slope_plus, prob.background.degree)
     return SolveReport(prob, solution, v, density, iters, rnorm, mass_defect)
@@ -465,7 +464,7 @@ def g_functional(phi: np.ndarray, background: RadialWeight,
     """
     phi = np.asarray(phi, dtype=np.float64)
     grid = background.grid
-    log_mass = logsumexp(phi + log_density + np.log(grid.trapezoid_weights))
+    log_mass = logsumexp(phi + log_density + grid.log_trapezoid_weights)
     return energy(phi, background) - log_mass
 
 

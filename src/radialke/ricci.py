@@ -6,6 +6,9 @@ the previous total weight.  Successive sup-norm gaps contract at least by
 ``(p-1)/p``; the limit, rescaled by ``1/p``, solves the same limit equation
 for every ``p`` and recovers the singular Kahler-Einstein weight once the
 canonical divisor part is added back.
+
+Only the previous iterate changes between steps, so a chain assembles its
+step problem once and each step hands it on with the new iterate.
 """
 
 from __future__ import annotations
@@ -28,17 +31,14 @@ DEFAULT_STOP = 1e-10
 
 @dataclass(frozen=True)
 class RicciState:
-    """Iteration state: the total weight on the rescaled class at step m."""
+    """Iteration state: the total weight on the rescaled class at step m,
+    and ``problem``, the next step's, coupled against it; the problem holds
+    the chain's inputs (``recipe.k``, ``recipe.p``, the raw ``recipe.twist``,
+    ``divisor``, ``grid``, ``eps``, ``delta``)."""
 
-    k: float
-    divisor: DivisorData
-    p: int
     m: int
     weight: RadialWeight
-    grid: RadialGrid
-    eps: float = 0.0
-    delta: float = 0.0
-    twist: Optional[RadialWeight] = None
+    problem: MAProblem
     report: Optional[SolveReport] = None
     #: values of the (at most two) weights before ``weight``, oldest first
     earlier: tuple[np.ndarray, ...] = ()
@@ -63,25 +63,14 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
                   grid: RadialGrid | None = None, *, eps: float = 0.0,
                   delta: float = 0.0,
                   twist: RadialWeight | None = None) -> RicciState:
-    """m = 0 state with ``w_0 = p * phi_A`` exactly."""
+    """m = 0 state with ``w_0 = p * phi_A`` exactly and the chain's one
+    :func:`ricci_problem`, coupled against it."""
     if p < 1:
         raise ConfigurationError(f"step count p must be >= 1, got {p}")
-    divisor = divisor or DivisorData()
     grid = grid or default_grid()
-    d_bg = _adjoint_degree(k, divisor, delta)
-    return RicciState(float(k), divisor, int(p), 0, fs_weight(p * d_bg, grid),
-                      grid, eps, delta, twist, None)
-
-
-def _step_problem(state: RicciState) -> MAProblem:
-    """The problem coupled against ``state.weight``.  Only the previous
-    iterate changes between steps, so a state with a report reuses the
-    problem its step assembled."""
-    if state.report is not None:
-        return replace(state.report.problem, prev=state.weight)
-    return ricci_problem(state.k, state.divisor, state.p, state.weight,
-                         state.grid, eps=state.eps, delta=state.delta,
-                         twist=state.twist)
+    w0 = fs_weight(p * _adjoint_degree(k, divisor or DivisorData(), delta), grid)
+    return RicciState(0, w0, ricci_problem(k, divisor, p, w0, grid, eps=eps,
+                                           delta=delta, twist=twist))
 
 
 def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
@@ -90,14 +79,15 @@ def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
     The solve starts from ``chained_start`` of the weights so far, as
     corrections to the step's background: 0 at m = 0, the previous step's
     solution at m = 1, and from m = 2 on the extrapolation along the step
-    differences, which contract geometrically.
+    differences, which contract geometrically.  The next state's problem is
+    this step's, coupled against the new weight.
     """
-    prob = _step_problem(state)
+    prob = state.problem
     chain = state.earlier + (state.weight.values,)
     v0 = chained_start([w - prob.background.values for w in chain])
     rep = solve_ke_ode(prob, tol=tol, v0=v0)
-    return replace(state, m=state.m + 1, weight=rep.solution, report=rep,
-                   earlier=chain[-2:])
+    return RicciState(state.m + 1, rep.solution,
+                      replace(prob, prev=rep.solution), rep, chain[-2:])
 
 
 def normalize_constant(state: RicciState) -> dict:
@@ -110,15 +100,16 @@ def normalize_constant(state: RicciState) -> dict:
     """
     if state.m < 1 or state.report is None:
         raise ConfigurationError("normalization is defined from m >= 1")
-    grid = state.grid
-    integral = float(np.sum(grid.trapezoid_weights * state.report.density))
-    d_bg = _adjoint_degree(state.k, state.divisor, state.delta)
+    prob = state.problem
+    p = prob.recipe.p
+    integral = float(np.sum(prob.grid.trapezoid_weights * state.report.density))
+    d_bg = _adjoint_degree(prob.recipe.k, prob.divisor, prob.delta)
     return {
         "integral": integral,
-        "target_mass": state.p * d_bg,
+        "target_mass": p * d_bg,
         "semiample_volume": d_bg,
         "constant": math.log(d_bg) - math.log(integral),
-        "measure_factor": state.p,
+        "measure_factor": p,
     }
 
 
@@ -130,9 +121,9 @@ def fixed_point_residual(state: RicciState) -> float:
     problem coupled against ``state.weight`` itself.  Only interior rows
     count; the Neumann end rows belong to the discretization.
     """
-    prob = _step_problem(state)
+    prob = state.problem
     res = newton_residual(state.weight.values - prob.background.values,
-                          state.grid.spacing,
+                          prob.grid.spacing,
                           prob.background.curvature_profile(),
                           np.exp(prob.log_density_at_background()))
     return float(np.max(np.abs(res[1:-1])))
@@ -155,11 +146,9 @@ def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
     state = initial_state(k, divisor, p, grid, eps=eps, delta=delta, twist=twist)
     trace = RicciTrace()
     bound = (p - 1) / p + RATIO_SLACK
-    prev_weight = state.weight
     for m in range(1, m_max + 1):
         state = ricci_step(state, tol=solver_tol)
-        gap = float(np.max(np.abs(state.weight.values - prev_weight.values)))
-        prev_weight = state.weight
+        gap = float(np.max(np.abs(state.weight.values - state.earlier[-1])))
         trace.gaps.append(gap)
         trace.norm_integrals.append(normalize_constant(state)["integral"])
         trace.residuals.append(state.report.residual)
@@ -183,18 +172,19 @@ def compare_to_ke(state: RicciState, ke: SolveReport) -> dict:
     recipe = ke.problem.recipe
     if recipe is None or recipe.p is not None:
         raise ConfigurationError("comparison target must come from ke_problem")
-    if not np.isclose(recipe.k, state.k):
+    prob = state.problem
+    if not np.isclose(recipe.k, prob.recipe.k):
         raise ConfigurationError("twist degrees differ between the two routes")
-    if ke.problem.divisor != state.divisor:
+    if ke.problem.divisor != prob.divisor:
         raise ConfigurationError("divisors differ between the two routes")
-    if ke.problem.grid.node_count != state.grid.node_count or \
-            not np.array_equal(ke.problem.grid.nodes, state.grid.nodes):
+    if ke.problem.grid.node_count != prob.grid.node_count or \
+            not np.array_equal(ke.problem.grid.nodes, prob.grid.nodes):
         raise ConfigurationError("grids differ between the two routes")
-    if ke.problem.delta != state.delta or ke.problem.eps != state.eps:
+    if ke.problem.delta != prob.delta or ke.problem.eps != prob.eps:
         raise ConfigurationError("regularization parameters differ between the two routes")
 
-    rescaled = state.weight.scaled(1.0 / state.p)
-    candidate = rescaled + divisor_log_weight(state.divisor, state.grid)
+    rescaled = state.weight.scaled(1.0 / prob.recipe.p)
+    candidate = rescaled + divisor_log_weight(prob.divisor, prob.grid)
     sup = float(np.max(np.abs(candidate.values - ke.solution.values)))
     lel_ke = lelong_numbers(ke.solution)
     lel_smooth = lelong_numbers(rescaled)
@@ -202,6 +192,6 @@ def compare_to_ke(state: RicciState, ke: SolveReport) -> dict:
         "sup_distance": sup,
         "lelong_zero_diff": lel_ke[0] - lel_smooth[0],
         "lelong_infinity_diff": lel_ke[1] - lel_smooth[1],
-        "divisor_zero": float(state.divisor.coefficient("zero")),
-        "divisor_infinity": float(state.divisor.coefficient("infinity")),
+        "divisor_zero": float(prob.divisor.coefficient("zero")),
+        "divisor_infinity": float(prob.divisor.coefficient("infinity")),
     }

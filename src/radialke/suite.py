@@ -24,6 +24,8 @@ from .masolver import (closed_form_error, energy, energy_variation,
                        solve_ke_ode, uniform_bound_check)
 
 RICCI_CONFIGS = tuple((p, a0) for p in (2, 3, 5) for a0 in (None, "1/2"))
+#: seed of the randomized perturbation checks when the run names none
+DEFAULT_SEED = 20240801
 
 
 @dataclass
@@ -56,7 +58,6 @@ def _crit_closed_form(cache: dict) -> tuple[bool, dict]:
     rep = solve_ke_ode(ke_problem(4.0, grid=grid))
     elapsed = time.perf_counter() - t0
     err = closed_form_error(rep.solution, 4.0)
-    cache["ke_smooth"] = rep
     details = {"sup_error": err, "solve_seconds": elapsed,
                "iterations": rep.iterations, "mass_defect": rep.mass_defect}
     return err <= 1e-6 and elapsed < 1.0, details
@@ -105,8 +106,8 @@ def _crit_limit_identification(cache: dict) -> tuple[bool, dict]:
     details = {}
     for a0 in (None, "1/2"):
         state, trace, _ = runs[(2, a0)]
-        D = state.divisor
-        ke = solve_ke_ode(ke_problem(4.0, D, state.grid))
+        D = state.problem.divisor
+        ke = solve_ke_ode(ke_problem(4.0, D, state.problem.grid))
         residual = ricci_mod.fixed_point_residual(state)
         cmp = ricci_mod.compare_to_ke(state, ke)
         a_zero = float(D.coefficient("zero"))
@@ -121,14 +122,19 @@ def _crit_limit_identification(cache: dict) -> tuple[bool, dict]:
     return ok, details
 
 
+def _smooth_chain(cache: dict) -> bergman.WeightChain:
+    # the p = 1 chain of the twist k = 4, shared by criteria 4 and 5
+    if "chain_smooth" not in cache:
+        cache["chain_smooth"] = bergman.build_chain(4.0, None, p=1, m=1)
+    return cache["chain_smooth"]
+
+
 def _crit_gram_oracle(cache: dict) -> tuple[bool, dict]:
-    chain = bergman.build_chain(4.0, None, p=1, m=1)
     basis = bergman.section_range(1, 1, 4.0)
-    log_g = bergman.gram_diagonal(basis, chain, None)
+    log_g = bergman.gram_diagonal(basis, _smooth_chain(cache), None)
     got = np.exp(log_g)
     expected = np.array([2.0 * math.pi / 3.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
     rel = float(np.max(np.abs(got / expected - 1.0)))
-    cache["chain_smooth"] = chain
     return rel <= 1e-8, {"gram": got.tolist(), "expected": expected.tolist(),
                          "max_relative_error": rel}
 
@@ -136,7 +142,7 @@ def _crit_gram_oracle(cache: dict) -> tuple[bool, dict]:
 def _bergman_runs(cache: dict) -> dict:
     if "bergman" not in cache:
         runs = {}
-        chain_s = cache.get("chain_smooth") or bergman.build_chain(4.0, None, p=1, m=1)
+        chain_s = _smooth_chain(cache)
         t0 = time.perf_counter()
         runs["smooth"] = (bergman.run_levels(chain_s, 200), time.perf_counter() - t0)
         chain_c = bergman.build_chain(4.0, divisor(zero="1/2"), p=2, m=1)
@@ -180,7 +186,7 @@ def _crit_integral_chain(cache: dict) -> tuple[bool, dict]:
 def _crit_variational(cache: dict) -> tuple[bool, dict]:
     # unit-volume class: the free-energy functional is gauge free and the
     # solved potential is its exact maximizer
-    seed = int(cache.get("seed", 20240801))
+    seed = cache.get("seed", DEFAULT_SEED)
     grid = default_grid()
     prob = ke_problem(3.0, grid=grid)
     rep = solve_ke_ode(prob)
@@ -244,8 +250,6 @@ def _crit_family_positivity(cache: dict) -> tuple[bool, dict]:
         cert = family_mod.base_positivity_check(rel, tol=1e-6)
         details[name] = {k: cert[k] for k in ("passed", "min_tt", "min_det")}
         ok &= cert["passed"]
-        if name == "perturbed":
-            cache["family_perturbed"] = (fam, rel)
     control = family_mod.build_family(
         family_mod.perturbed_family_recipe(4.0, -0.05), bypass_precheck=True)
     rel_c = family_mod.solve_fiberwise(control)
@@ -260,8 +264,8 @@ def _crit_ns_and_bound(cache: dict) -> tuple[bool, dict]:
     details = {}
     families = {
         "product": family_mod.build_family(family_mod.product_family_recipe(4.0)),
-        "perturbed": cache.get("family_perturbed", (None,))[0]
-        or family_mod.build_family(family_mod.perturbed_family_recipe(4.0, 0.05)),
+        "perturbed": family_mod.build_family(
+            family_mod.perturbed_family_recipe(4.0, 0.05)),
         "conic": family_mod.build_family(
             family_mod.conic_family_recipe(4.0, Fraction(1, 2), 0.05)),
     }
@@ -305,16 +309,13 @@ CRITERIA: tuple[tuple[int, str, Callable], ...] = (
 
 
 def run_criteria(ids: Optional[list[int]] = None,
-                 cache: Optional[dict] = None,
                  seed: Optional[int] = None) -> list[CriterionResult]:
     """Run the selected acceptance criteria (all by default) in order.
 
-    ``seed`` drives the randomized perturbation checks and is recorded in
-    their details.
+    ``seed`` (default ``DEFAULT_SEED``) drives the randomized perturbation
+    checks and is recorded in their details.
     """
-    cache = {} if cache is None else cache
-    if seed is not None:
-        cache["seed"] = int(seed)
+    cache = {} if seed is None else {"seed": int(seed)}
     wanted = set(ids) if ids else {cid for cid, _, _ in CRITERIA}
     unknown = wanted - {cid for cid, _, _ in CRITERIA}
     if unknown:

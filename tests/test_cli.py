@@ -141,13 +141,59 @@ def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
     ["family", "--fiber-n", "3", "--base-count", "3"],
 ])
 def test_grid_too_coarse_for_background_is_config_error(tmp_path, capsys, args):
-    # the background's curvature mass check every Newton solve makes runs
-    # in validate_config, not after the output directory exists
+    # a problem checks its background's curvature mass where it is built,
+    # so validate_config refuses these, not a solve after the output exists
     out = tmp_path / "x"
     assert run_cli(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "mass" in err
     assert not out.exists()
+
+
+# small runs of each kind, so that a wrongly accepted value still runs fast
+SMALL = {"ricci": {"N": 257}, "bergman": {"N": 257, "ell_max": 5},
+         "family": {"fiber_n": 129, "base_count": 5}, "solve": {"N": 257},
+         "suite": {"criteria": [4]}}
+NOT_NUMBERS_OF_THEIR_TYPE = [
+    ("ricci", "p", 2.5), ("family", "base_count", 9.9), ("ricci", "m_max", 200.7),
+    ("bergman", "ell_max", 60.5), ("suite", "seed", 3.9), ("bergman", "m", True),
+    ("solve", "k", True), ("suite", "criteria", [4.5]), ("suite", "criteria", [True]),
+]
+
+
+@pytest.mark.parametrize("kind,key,value", NOT_NUMBERS_OF_THEIR_TYPE)
+def test_fractional_or_boolean_number_is_config_error_from_file(tmp_path, capsys,
+                                                                 kind, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL[kind] | {key: value}))
+    out = tmp_path / "x"
+    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()  # rejected before any compute
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("ricci", "p", "2.5"), ("family", "base_count", "9.9"), ("bergman", "m", "true"),
+    ("solve", "k", "true"), ("suite", "seed", "3.9"),
+])
+def test_fractional_or_boolean_number_is_config_error_from_flag(tmp_path, capsys,
+                                                                 kind, key, value):
+    # the same coercion as a file's values, not argparse's usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in SMALL[kind].items() if k != key}))
+    out = tmp_path / "x"
+    assert run_cli([kind, "--config", str(cfg), "--" + key.replace("_", "-"), value,
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(key) in err
+    assert not out.exists()
+
+
+def test_integral_number_is_accepted_from_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 257.0, "p": 2.0, "m_max": 3}))
+    assert load_config(str(cfg), {}, "ricci")["p"] == 2
 
 
 UNREAD_KEYS = [("solve", "seed", 3), ("ricci", "seed", 3), ("bergman", "seed", 3),

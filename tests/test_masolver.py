@@ -66,6 +66,27 @@ def test_conic_solution_fine_grid_consistency(grid):
     assert np.max(np.abs(coarse.solution.values[win] - interp)) < 1e-5
 
 
+def test_manufactured_solution_converges_at_second_order():
+    # the twist u* - log(u*''/2pi) + t makes u* the exact solution, so the
+    # error is the discretization's alone and a wrong stencil shows in its
+    # order, which the closed-form oracle (exact on the grid) cannot see
+    errors = []
+    for n in (257, 513, 1025, 2049, 4097):
+        g = geo.make_grid(30.0, n)
+        t = g.nodes
+        e1, e2 = np.exp(-np.abs(t)), np.exp(-2.0 * np.abs(t))
+        exact = 2.0 * np.logaddexp(0.0, t) + 0.2 * np.tanh(t) - math.log(math.pi)
+        # u*'' = 2 sigma (1 - sigma) - 0.4 tanh sech^2, accurate in both tails
+        d2 = 2.0 * e1 / (1.0 + e1) ** 2 - 1.6 * np.tanh(t) * e2 / (1.0 + e2) ** 2
+        twist = geo.RadialWeight(g, exact - np.log(d2 / (2.0 * math.pi)) + t,
+                                 0.0, 4.0, 4.0)
+        rep = ma.solve_ke_ode(ma.ke_problem(4.0, grid=g, twist=twist))
+        win = g.window(-28.0, 28.0)
+        errors.append(float(np.max(np.abs(rep.solution.values - exact)[win])))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 2.0) <= 0.1), (errors, orders)
+
+
 def test_degenerate_band_background_accepted(grid):
     # curvature vanishing on a half line still solves: the density keeps the
     # Newton system invertible

@@ -127,3 +127,14 @@ def test_route_independence_across_p(grid):
 def test_run_ricci_validates_m_max(grid):
     with pytest.raises(ConfigurationError):
         ricci.run_ricci(4.0, None, 2, m_max=1, grid=grid)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ma.ke_problem(4.0, grid=geo.make_grid(30.0, 4)),
+    lambda: ricci.initial_state(4.0, None, 2, geo.make_grid(30.0, 3)),
+], ids=["ke_problem", "initial_state"])
+def test_background_too_coarse_is_refused_where_built(build):
+    # the background's curvature mass is checked when the problem is built,
+    # not when a solve ends
+    with pytest.raises(ConfigurationError, match="mass"):
+        build()

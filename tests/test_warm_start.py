@@ -75,7 +75,7 @@ def test_reused_step_problem_is_bitwise_fresh(D):
     state = ricci.initial_state(4.0, D, 3, GRID_1024)
     for _ in range(2):
         state = ricci.ricci_step(state)
-        reused = ricci._step_problem(state)
+        reused = state.problem
         fresh = ma.ricci_problem(4.0, D, 3, state.weight, GRID_1024)
         assert reused.prev is state.weight
         assert np.array_equal(reused.log_density_at_background(),
