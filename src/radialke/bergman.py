@@ -1,8 +1,10 @@
 """Bergman kernel iteration in the rotation-invariant monomial basis.
 
-At level ``l`` the section space of the iterated adjoint bundle is spanned by
-monomials ``z^j`` whose exponents run over an integer window cut by the
-divisor vanishing orders.  Rotation invariance makes every Gram matrix
+At level ``l`` the section space of the iterated adjoint bundle, of degree
+``l p (k - 2)``, is spanned by monomials ``z^j`` whose exponents run over an
+integer window cut by the divisor vanishing orders.  A chain checks once
+that its step degree ``p (k - 2)`` is a positive integer, and every level's
+window follows from it.  Rotation invariance makes every Gram matrix
 diagonal, so one level is a vector of log Gram norms plus the convex
 log-kernel profile
 
@@ -47,44 +49,40 @@ WINDOW = (-10.0, 10.0)
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Monomial exponent window of one level."""
+    """Monomial exponent window of one level and the degree of its bundle."""
 
     level: int
-    p: int
-    k: float
-    divisor: DivisorData
     j_min: int
     j_max: int
+    degree: int
 
     @property
     def n_sections(self) -> int:
         return self.j_max - self.j_min + 1
 
     @property
-    def degree(self) -> int:
-        return self.level * self.step_degree
-
-    @property
-    def step_degree(self) -> int:
-        return _step_degree(self.p, self.k)
-
-    @property
     def exponents(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1, dtype=np.float64)
 
 
-_STEP_DEGREES: dict[tuple[int, float], int] = {}
-
-
 def _step_degree(p: int, k: float) -> int:
-    """``p (k - 2)``, computed once per ``(p, k)``: every level asks for it."""
-    if (p, k) not in _STEP_DEGREES:
-        d1 = Fraction(p) * (Fraction(k).limit_denominator(10**9) - 2)
-        if d1.denominator != 1 or d1 <= 0:
-            raise ConfigurationError(
-                f"level bundle degree p*(k-2) = {d1} must be a positive integer")
-        _STEP_DEGREES[p, k] = int(d1)
-    return _STEP_DEGREES[p, k]
+    """``p (k - 2)``, the degree each level adds: a positive integer."""
+    d1 = Fraction(p) * (Fraction(k).limit_denominator(10**9) - 2)
+    if d1.denominator != 1 or d1 <= 0:
+        raise ConfigurationError(
+            f"level bundle degree p*(k-2) = {d1} must be a positive integer")
+    return int(d1)
+
+
+def _window(level: int, p: int, step_degree: int, D: DivisorData) -> SectionBasis:
+    """The window rule of :func:`section_range`, from a known step degree."""
+    lp = Fraction(level * p)
+    j_min = int(math.ceil(lp * D.coefficient("zero")))
+    j_max = level * step_degree - int(math.ceil(lp * D.coefficient("infinity")))
+    if j_max < j_min:
+        raise ConfigurationError(
+            f"empty section space at level {level}: window [{j_min}, {j_max}]")
+    return SectionBasis(level, j_min, j_max, level * step_degree)
 
 
 def section_range(level: int, p: int, k: float,
@@ -96,30 +94,19 @@ def section_range(level: int, p: int, k: float,
     """
     if level < 1:
         raise ConfigurationError(f"level must be >= 1, got {level}")
-    D = D or DivisorData()
-    d1 = _step_degree(p, k)
-    lp = Fraction(level * p)
-    j_min = int(math.ceil(lp * D.coefficient("zero")))
-    j_max = level * d1 - int(math.ceil(lp * D.coefficient("infinity")))
-    if j_max < j_min:
-        raise ConfigurationError(
-            f"empty section space at level {level}: window [{j_min}, {j_max}]")
-    return SectionBasis(level, p, float(k), D, j_min, j_max)
+    return _window(level, p, _step_degree(p, k), D or DivisorData())
 
 
-def frac_frame_log(basis: SectionBasis, grid: RadialGrid) -> np.ndarray:
-    """Fractional-part frame profile of the level.
+def frac_frame_log(level: int, chain: "WeightChain") -> np.ndarray:
+    """Fractional-part frame profile of a level, on the chain's grid.
 
     For each divisor point the exponent is ``ceil(l p a) - l p a``, applied
     to the Fubini-Study frame norm.
     """
-    lp = Fraction(basis.level * basis.p)
-    terms = []
-    for loc, a in basis.divisor.terms:
-        frac = Fraction(math.ceil(lp * a)) - lp * a
-        if frac:
-            terms.append((loc, frac))
-    return divisor_frame_log(DivisorData(tuple(terms)), grid)
+    lp = Fraction(level * chain.p)
+    fracs = [(loc, math.ceil(lp * a) - lp * a) for loc, a in chain.divisor.terms]
+    return divisor_frame_log(DivisorData(tuple((loc, f) for loc, f in fracs if f)),
+                             chain.tau.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +116,16 @@ def frac_frame_log(basis: SectionBasis, grid: RadialGrid) -> np.ndarray:
 @dataclass(frozen=True)
 class WeightChain:
     """Fixed data of one kernel recursion: the inner-product weight ``tau``
-    built from the previous iteration step, and the convergence target."""
+    built from the previous iteration step and the convergence target, both
+    on the chain's grid, and the degree ``p (k - 2)`` each level adds."""
 
-    k: float
     p: int
-    m: int
     divisor: DivisorData
-    grid: RadialGrid
     tau: RadialWeight
     target: RadialWeight
+    step_degree: int
     eps: float = 0.0
     route_agreement: float = float("nan")
-
-    @property
-    def step_degree(self) -> int:
-        return _step_degree(self.p, self.k)
 
 
 def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
@@ -159,6 +141,7 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     """
     if m < 1:
         raise ConfigurationError(f"outer index m must be >= 1, got {m}")
+    step_degree = _step_degree(p, k)
     state = ricci_mod.initial_state(k, D, p, grid, eps=eps, twist=twist)
     for _ in range(m - 1):
         state = ricci_mod.ricci_step(state)
@@ -176,8 +159,8 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     if p == 1 and eps == 0:
         ke = solve_ke_ode(ke_problem(k, D, grid, twist=twist))
         route = float(np.max(np.abs(target.values - ke.solution.values)))
-    return WeightChain(float(k), int(p), int(m), D, grid, tau, target,
-                       eps=eps, route_agreement=route)
+    return WeightChain(int(p), D, tau, target, step_degree, eps=eps,
+                       route_agreement=route)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +208,8 @@ def gram_diagonal(basis: SectionBasis, chain: WeightChain,
             f"gram integrand grows at t -> +inf (slope {hi}) at level {basis.level}")
 
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
-    offsets = np.zeros(basis.n_sections)
     return affine_lse_quadrature(t, grid.log_trapezoid_weights, basis.exponents,
-                                 offsets, base, layout=layout)
+                                 np.zeros(basis.n_sections), base, layout=layout)
 
 
 def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLevel:
@@ -237,7 +219,7 @@ def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLev
     exponents, so they share one block layout.
     """
     level = 1 if prev is None else prev.level + 1
-    basis = section_range(level, chain.p, chain.k, chain.divisor)
+    basis = _window(level, chain.p, chain.step_degree, chain.divisor)
     grid = chain.tau.grid
     layout = block_layout(grid.nodes, basis.exponents)
     log_gram = gram_diagonal(basis, chain, prev, layout=layout)
@@ -309,7 +291,7 @@ def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
     beta_lo, beta_hi = math.inf, math.inf
     prev_lo, prev_hi = 0.0, 0.0
     for ell in range(1, ell_max + 1):
-        b = section_range(ell, chain.p, chain.k, chain.divisor)
+        b = _window(ell, chain.p, chain.step_degree, chain.divisor)
         beta_lo = min(beta_lo, b.j_min + 1.0 - prev_lo - chain.tau.slope_minus)
         beta_hi = min(beta_hi, -(b.j_max + 1.0 - prev_hi - chain.tau.slope_plus))
         prev_lo, prev_hi = float(b.j_min), float(b.j_max)
@@ -330,8 +312,8 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     """
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
-    wide = chain.grid.widened(quadrature_halfwidth(chain, ell_max))
-    chain_w = replace(chain, grid=wide, tau=chain.tau.resampled(wide),
+    wide = chain.tau.grid.widened(quadrature_halfwidth(chain, ell_max))
+    chain_w = replace(chain, tau=chain.tau.resampled(wide),
                       target=chain.target.resampled(wide))
     run = BergmanRun(chain_w, wide)
     t = wide.nodes
@@ -364,7 +346,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         run.chain_log_integrals.append(log_i)
         run.chain_log_bounds.append(log_n_sum / ell)
         if chain_w.eps == 0:
-            ref = ell * target + frac_frame_log(lv.basis, wide)
+            ref = ell * target + frac_frame_log(ell, chain_w)
             run.c_ells.append(c_ell_diagnostic(lv, ref))
         else:
             run.c_ells.append(float("nan"))

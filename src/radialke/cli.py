@@ -237,7 +237,7 @@ def _run_solve(cfg: dict, out: str) -> dict:
     verdicts = {"residual_within_tol": rep.residual <= cfg["tol"],
                 "mass_defect_small": rep.mass_defect <= 1e-6}
     oracle = None
-    if D.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0 and cfg["k"] > 2:
+    if D.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0:
         oracle = closed_form_error(rep.solution, cfg["k"])
         verdicts["closed_form_oracle"] = oracle <= 1e-6
     diagonal_summary = None

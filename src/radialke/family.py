@@ -32,6 +32,8 @@ DEFAULT_FIBER_N = 1024
 POSITIVITY_TOL = 1e-6
 #: Newton tolerance of the fiber solves
 FIBER_TOL = 1e-11
+#: convexity tolerance on the second differences of :func:`ns_convexity_check`
+NS_CONVEXITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +66,9 @@ BUMPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class FamilyRecipe:
     """Construction data for a built-in family.
 
-    ``product`` has no base dependence; ``perturbed`` couples a bounded bump
-    to the base through ``exp(s) * amplitude``; ``conic`` is ``perturbed``
-    with a fixed fiber divisor.  A negative amplitude flips the coupling
+    ``perturbed`` couples a bounded bump to the base through
+    ``exp(s) * amplitude``; ``product`` is ``perturbed`` at amplitude 0, with
+    no base dependence; ``conic`` is ``perturbed`` with a fixed fiber divisor.  A negative amplitude flips the coupling
     concave in the base and is only usable with the precheck bypass (the
     control experiment for the positivity certificate).
     """
@@ -196,14 +198,9 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     grid = fiber_grid or make_grid(30.0, DEFAULT_FIBER_N)
 
     bump = BUMPS[recipe.bump](grid.nodes)
-    base_fs = fs_weight(recipe.k, grid)
-    twists = []
-    for s in base:
-        if recipe.kind == "product":
-            twists.append(base_fs)
-        else:
-            vals = base_fs.values + math.exp(s) * recipe.amplitude * bump
-            twists.append(RadialWeight(grid, vals, 0.0, recipe.k, recipe.k))
+    base_fs = fs_weight(recipe.k, grid).values
+    twists = [RadialWeight(grid, base_fs + math.exp(s) * recipe.amplitude * bump,
+                           0.0, recipe.k, recipe.k) for s in base]
 
     U = np.column_stack([w.values for w in twists])
     if base.size >= 3:
@@ -345,8 +342,7 @@ def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     return m * (math.log(2.0 * math.pi) + log_int)
 
 
-def ns_convexity_check(j: int, m: int, family: FiberFamily,
-                       tol: float = 1e-8) -> dict:
+def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
     """Convexity of ``-log`` of the section norm along the base.
 
     Positivity of the induced base metric means the negative log norm is
@@ -359,5 +355,5 @@ def ns_convexity_check(j: int, m: int, family: FiberFamily,
     hs = float(family.base_nodes[1] - family.base_nodes[0])
     d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / hs**2
     min_d2 = float(np.min(d2))
-    return {"passed": bool(min_d2 >= -tol), "min_second_diff": min_d2,
-            "values": vals, "tol": tol}
+    return {"passed": bool(min_d2 >= -NS_CONVEXITY_TOL),
+            "min_second_diff": min_d2, "values": vals, "tol": NS_CONVEXITY_TOL}

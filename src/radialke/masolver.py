@@ -58,10 +58,10 @@ STOP_FACTOR = 1e-12
 
 @dataclass(frozen=True)
 class Recipe:
-    """Constructor inputs a problem was built from, kept to rebuild it at
-    other (delta, eps).  ``p`` is None for :func:`ke_problem` and the step
-    count for :func:`ricci_problem`; the divisor, grid and previous iterate
-    are read back from the problem itself."""
+    """Constructor inputs a problem was built from, kept to rebuild a
+    :func:`ke_problem` at other (delta, eps); ``p`` is the step count of a
+    :func:`ricci_problem`, else None.  The divisor, grid and previous
+    iterate are read back from the problem itself."""
 
     k: float
     twist: RadialWeight
@@ -138,16 +138,15 @@ class MAProblem:
         return out
 
     def with_regularization(self, delta: float, eps: float) -> "MAProblem":
-        """Rebuild this problem at other (delta, eps); requires a recipe."""
+        """Rebuild this problem at other (delta, eps); requires a
+        :func:`ke_problem` recipe."""
         r = self.recipe
-        if r is None:
-            raise ConfigurationError("problem was not built by a constructor; "
-                                     "cannot re-regularize")
-        if r.p is None:
-            return ke_problem(r.k, self.divisor, self.grid, eps=eps,
-                              delta=delta, twist=r.twist)
-        return ricci_problem(r.k, self.divisor, r.p, self.prev, self.grid,
-                             eps=eps, delta=delta, twist=r.twist)
+        if r is None or r.p is not None:
+            raise ConfigurationError(
+                "only a problem built by the ke_problem constructor can be "
+                "re-regularized, not a p-step or hand-built one")
+        return ke_problem(r.k, self.divisor, self.grid, eps=eps, delta=delta,
+                          twist=r.twist)
 
 
 def _adjoint_degree(k: float, D: DivisorData, delta: float) -> float:

@@ -31,17 +31,20 @@ DEFAULT_STOP = 1e-10
 
 @dataclass(frozen=True)
 class RicciState:
-    """Iteration state: the total weight on the rescaled class at step m,
-    and ``problem``, the next step's, coupled against it; the problem holds
-    the chain's inputs (``recipe.k``, ``recipe.p``, the raw ``recipe.twist``,
-    ``divisor``, ``grid``, ``eps``, ``delta``)."""
+    """Iteration state at step m: ``problem``, the next step's, coupled against
+    ``weight`` (its ``prev``), the total weight on the rescaled class at step
+    m.  The problem holds the chain's inputs (``recipe.k``, ``recipe.p``, raw
+    ``recipe.twist``, ``divisor``, ``grid``, ``eps``, ``delta``)."""
 
     m: int
-    weight: RadialWeight
     problem: MAProblem
     report: Optional[SolveReport] = None
     #: values of the (at most two) weights before ``weight``, oldest first
     earlier: tuple[np.ndarray, ...] = ()
+
+    @property
+    def weight(self) -> RadialWeight:
+        return self.problem.prev
 
 
 @dataclass
@@ -69,8 +72,8 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
         raise ConfigurationError(f"step count p must be >= 1, got {p}")
     grid = grid or default_grid()
     w0 = fs_weight(p * _adjoint_degree(k, divisor or DivisorData(), delta), grid)
-    return RicciState(0, w0, ricci_problem(k, divisor, p, w0, grid, eps=eps,
-                                           delta=delta, twist=twist))
+    return RicciState(0, ricci_problem(k, divisor, p, w0, grid, eps=eps,
+                                       delta=delta, twist=twist))
 
 
 def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
@@ -86,8 +89,8 @@ def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
     chain = state.earlier + (state.weight.values,)
     v0 = chained_start([w - prob.background.values for w in chain])
     rep = solve_ke_ode(prob, tol=tol, v0=v0)
-    return RicciState(state.m + 1, rep.solution,
-                      replace(prob, prev=rep.solution), rep, chain[-2:])
+    return RicciState(state.m + 1, replace(prob, prev=rep.solution), rep,
+                      chain[-2:])
 
 
 def normalize_constant(state: RicciState) -> dict:
@@ -132,7 +135,7 @@ def fixed_point_residual(state: RicciState) -> float:
 def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
               m_max: int = 200, stop_tol: float = DEFAULT_STOP,
               grid: RadialGrid | None = None, eps: float = 0.0,
-              delta: float = 0.0, twist: RadialWeight | None = None,
+              delta: float = 0.0,
               solver_tol: float = 1e-10) -> tuple[RicciState, RicciTrace]:
     """Iterate until the sup-norm gap reaches ``stop_tol`` or ``m_max``.
 
@@ -143,7 +146,7 @@ def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
     """
     if m_max < 2:
         raise ConfigurationError(f"m_max must be >= 2, got {m_max}")
-    state = initial_state(k, divisor, p, grid, eps=eps, delta=delta, twist=twist)
+    state = initial_state(k, divisor, p, grid, eps=eps, delta=delta)
     trace = RicciTrace()
     bound = (p - 1) / p + RATIO_SLACK
     for m in range(1, m_max + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,8 +88,7 @@ def test_gram_symmetry(smooth_chain):
 def test_gram_integrability_guard(grid):
     chain = bergman.build_chain(4.0, None, p=1, m=1, grid=grid)
     bad_tau = geo.fs_weight(1.0, grid)  # too little decay for the top exponent
-    bad_chain = bergman.WeightChain(4.0, 1, 1, geo.DivisorData(), grid,
-                                    bad_tau, chain.target)
+    bad_chain = dataclasses.replace(chain, tau=bad_tau)
     with pytest.raises(ConfigurationError, match="grows"):
         bergman.gram_diagonal(bergman.section_range(1, 1, 4.0), bad_chain, None)
 
@@ -109,6 +109,27 @@ def test_run_builds_one_block_layout_per_level(smooth_chain, monkeypatch):
     monkeypatch.setattr(bergman, "block_layout", counted)
     run = bergman.run_levels(smooth_chain, 12)
     assert built == run.n_sections == [2 * ell + 1 for ell in range(1, 13)]
+
+
+@pytest.mark.parametrize("k, p, zero", [
+    (4.0, 1, None), (4.0, 2, "1/2"), (3.0, 3, "1/3"), (4.0, 1, "1/2"),
+], ids=["smooth-p1", "half-p2", "k3-third-p3", "half-p1-fractional"])
+def test_run_windows_follow_section_range(k, p, zero):
+    # a run derives each window from the chain's step degree; it must be
+    # the window section_range gives from (level, p, k, D)
+    D = geo.divisor(zero=zero) if zero else geo.DivisorData()
+    chain = bergman.build_chain(k, D, p=p, m=1, grid=geo.make_grid(30.0, 1025))
+    assert chain.step_degree == p * (k - 2)
+    run = bergman.run_levels(chain, 12)
+    assert [lv.level for lv in run.levels] == list(range(1, 13))
+    for lv in run.levels:
+        assert lv.basis == bergman.section_range(lv.level, p, k, D)
+        assert lv.kappa.degree == lv.basis.degree == lv.level * chain.step_degree
+
+
+def test_fractional_degree_refused_before_the_chain_is_built():
+    with pytest.raises(ConfigurationError, match="p\\*\\(k-2\\)"):
+        bergman.build_chain(4.5, None, p=1, m=1, grid=geo.make_grid(30.0, 257))
 
 
 def test_first_level_from_empty_chain(smooth_chain):

@@ -33,6 +33,11 @@ def test_product_precheck_trivial(product):
     f, _ = product
     assert f.joint_positive
     assert f.precheck["max_abs_ss"] == 0.0
+    # amplitude 0 leaves every fiber the model twist, bitwise
+    fs = geo.fs_weight(4.0, GRID_257)
+    for w in f.twists:
+        np.testing.assert_array_equal(w.values, fs.values)
+        assert (w.slope_minus, w.slope_plus, w.degree) == (0.0, 4.0, 4.0)
 
 
 def test_perturbed_precheck_passes(perturbed):

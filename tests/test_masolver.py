@@ -243,18 +243,24 @@ def test_regularized_diagonal_rejects_bad_schedules(grid):
         ma.regularized_diagonal(base, [0.1, -0.05], [0.1, 0.05])
 
 
-@pytest.mark.parametrize("build", [
-    lambda grid, **kw: ma.ke_problem(4.0, geo.divisor(zero="1/2"), grid, **kw),
-    lambda grid, **kw: ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 2,
-                                        geo.fs_weight(3.0, grid), grid, **kw),
-], ids=["ke_problem", "ricci_problem"])
-def test_with_regularization_matches_constructor(build):
+def test_with_regularization_matches_constructor():
     grid = geo.make_grid(30.0, 513)
-    rebuilt = build(grid).with_regularization(0.05, 0.1)
-    direct = build(grid, delta=0.05, eps=0.1)
+    D = geo.divisor(zero="1/2")
+    rebuilt = ma.ke_problem(4.0, D, grid).with_regularization(0.05, 0.1)
+    direct = ma.ke_problem(4.0, D, grid, delta=0.05, eps=0.1)
     assert (rebuilt.delta, rebuilt.eps) == (0.05, 0.1)
     np.testing.assert_array_equal(rebuilt.log_density_at_background(),
                                   direct.log_density_at_background())
+
+
+def test_with_regularization_refuses_p_step_problem():
+    grid = geo.make_grid(30.0, 513)
+    prob = ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 2,
+                            geo.fs_weight(3.0, grid), grid)
+    with pytest.raises(ConfigurationError, match="p-step"):
+        prob.with_regularization(0.05, 0.1)
+    with pytest.raises(ConfigurationError, match="p-step"):
+        ma.regularized_diagonal(prob, [0.1, 0.05], [0.1, 0.05])
 
 
 def test_diagonal_requires_recipe(grid):
