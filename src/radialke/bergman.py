@@ -263,7 +263,6 @@ def c_ell_diagnostic(level: BergmanLevel, reference: np.ndarray) -> float:
 @dataclass
 class BergmanRun:
     chain: WeightChain
-    grid: RadialGrid                      # widened quadrature grid
     levels: list[BergmanLevel] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     liminf_slacks: list[float] = field(default_factory=list)
@@ -271,6 +270,11 @@ class BergmanRun:
     chain_log_bounds: list[float] = field(default_factory=list)
     c_ells: list[float] = field(default_factory=list)
     guard_margin: float = float("inf")
+
+    @property
+    def grid(self) -> RadialGrid:
+        """The widened quadrature grid the chain was resampled on."""
+        return self.chain.tau.grid
 
     @property
     def n_sections(self) -> list[int]:
@@ -315,7 +319,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     wide = chain.tau.grid.widened(quadrature_halfwidth(chain, ell_max))
     chain_w = replace(chain, tau=chain.tau.resampled(wide),
                       target=chain.target.resampled(wide))
-    run = BergmanRun(chain_w, wide)
+    run = BergmanRun(chain_w)
     t = wide.nodes
     logw = wide.log_trapezoid_weights
     win = wide.window(*WINDOW)

@@ -30,8 +30,8 @@ from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (check_schedule, closed_form_error, ke_problem,
-                       regularized_diagonal, solve_ke_ode)
+from .masolver import (check_schedule, closed_form_error, diagonal_pairs,
+                       ke_problem, regularized_diagonal, solve_ke_ode)
 
 # flat config schema: key -> (kinds whose runs read it, type, default); every
 # key but ``kind`` is also the flag ``--key-with-dashes`` of those kinds
@@ -160,8 +160,10 @@ def validate_config(cfg: dict) -> None:
             raise ConfigurationError(f"config key {key!r} must be >= {low}, "
                                      f"got {cfg[key]}")
     for key in ("delta_schedule", "eps_schedule"):
-        if cfg.get(key):
+        if cfg.get(key):  # each set schedule refused under its own name
             check_schedule(key.split("_")[0], cfg[key])
+    if schedules := _diagonal_schedules(cfg):
+        diagonal_pairs(*schedules)
     if cfg["kind"] == "family" and cfg["base_min"] >= cfg["base_max"]:
         raise ConfigurationError(
             "config keys 'base_min' and 'base_max' must satisfy base_min < "
@@ -220,6 +222,15 @@ def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
     return make(**{key: cfg[key] for key in inspect.signature(make).parameters})
 
 
+def _diagonal_schedules(cfg: dict) -> Optional[tuple[list, list]]:
+    """The (delta, eps) schedules of a solve run, each standing in for the
+    other when only one is set; None without a diagonal."""
+    if not (cfg.get("delta_schedule") or cfg.get("eps_schedule")):
+        return None
+    return (cfg.get("delta_schedule") or cfg["eps_schedule"],
+            cfg.get("eps_schedule") or cfg["delta_schedule"])
+
+
 def _grid_from(cfg: dict):
     return make_grid(cfg["T"], cfg["N"])
 
@@ -241,9 +252,7 @@ def _run_solve(cfg: dict, out: str) -> dict:
         oracle = closed_form_error(rep.solution, cfg["k"])
         verdicts["closed_form_oracle"] = oracle <= 1e-6
     diagonal_summary = None
-    if cfg.get("delta_schedule") or cfg.get("eps_schedule"):
-        schedules = (cfg.get("delta_schedule") or cfg["eps_schedule"],
-                     cfg.get("eps_schedule") or cfg["delta_schedule"])
+    if schedules := _diagonal_schedules(cfg):
         diag = regularized_diagonal(prob, *schedules, tol=cfg["tol"])
         rows = [(d, e, r.sup_potential,
                  diag.trace[i - 1] if i >= 1 else float("nan"))

@@ -20,12 +20,14 @@ Solutions are found by damped Newton iteration on the bounded correction
 step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``;
 damping halves the step until the residual decreases, which for this
 monotone semilinear problem converges from any bounded start.  Chained
-solves (the p-step iteration, neighbouring fibers of a family, the
-regularization diagonal) therefore start from a prediction instead of the
-flat ``v = 0``: their neighbour's potential, and once two differences along
-the chain exist, its extrapolation :func:`predicted_start` (the predictor of
-a predictor-corrector continuation, with Newton as the corrector).  Every
-solve stops as soon as a full Newton step falls to the rounding floor
+solves therefore start from a prediction instead of the flat ``v = 0`` (the
+predictor of a predictor-corrector continuation, with Newton as the
+corrector).  The p-step iteration and the regularization diagonal use
+:func:`chained_start`: the neighbour's potential, and once two differences
+along the chain exist, their extrapolation :func:`predicted_start`.  The
+fibers of a family, whose twists are affine in the coupling ``exp(s)``, use
+:func:`polynomial_start`, the Lagrange extrapolation in that coupling.
+Every solve stops as soon as a full Newton step falls to the rounding floor
 (``STOP_FACTOR``).
 """
 
@@ -54,6 +56,8 @@ MAX_NEWTON_ITER = 60
 #: rounding floor of ``v``: :func:`solve_ke_ode` takes it only if it lowers
 #: the residual, then stops
 STOP_FACTOR = 1e-12
+#: solved neighbours that :func:`polynomial_start` interpolates
+POLY_POINTS = 6
 
 
 @dataclass(frozen=True)
@@ -285,6 +289,29 @@ def chained_start(solved: Sequence[np.ndarray]) -> Optional[np.ndarray]:
                            solved[-2] - solved[-3])
 
 
+def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
+                     at: float) -> Optional[np.ndarray]:
+    """Start for the next solve of a chain whose inputs are smooth in a
+    parameter: the Lagrange interpolant through the last ``POLY_POINTS``
+    potentials ``solved`` (oldest first, solved at ``params``) evaluated at
+    ``at``; the flat start (``None``) for an empty chain.
+
+    It is summed as ``solved[-1]`` plus weighted differences to it (the
+    weights add up to 1), so one potential is returned as it is and
+    identical potentials come back unchanged.
+    """
+    if not solved:
+        return None
+    pts = solved[-POLY_POINTS:]
+    x = np.asarray(params[-len(pts):], dtype=np.float64)
+    out = np.array(pts[-1], dtype=np.float64)
+    for i in range(len(pts) - 1):
+        others = np.delete(x, i)
+        w = float(np.prod((at - others) / (x[i] - others)))
+        out += w * (pts[i] - pts[-1])
+    return out
+
+
 def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
                  v0: Optional[np.ndarray] = None) -> SolveReport:
     """Damped Newton solve of the assembled equation.
@@ -394,36 +421,48 @@ def check_schedule(name: str, sched: Sequence[float]) -> list[float]:
     return vals
 
 
+def diagonal_pairs(delta_schedule: Sequence[float],
+                   eps_schedule: Sequence[float]) -> list[tuple[float, float]]:
+    """The (delta, eps) steps of a regularization diagonal.
+
+    Schedules are checked and paired index by index, the shorter one held at
+    its last value.  Convergence is read from two or more distances between
+    successive steps, so a diagonal of fewer than 3 steps could never pass
+    and is refused.
+    """
+    deltas = check_schedule("delta", delta_schedule)
+    epses = check_schedule("eps", eps_schedule)
+    steps = max(len(deltas), len(epses))
+    if steps < 3:
+        raise ConfigurationError(
+            f"a diagonal of {steps} steps cannot show convergence; need >= 3")
+    pad = lambda s: s + [s[-1]] * (steps - len(s))
+    return list(zip(pad(deltas), pad(epses)))
+
+
 def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
                          eps_schedule: Sequence[float],
                          tol: float = DEFAULT_TOL) -> DiagonalResult:
     """Walk the (delta, eps) regularization family down a joint diagonal.
 
-    Schedules are paired index by index (the shorter one is held at its last
-    value); each solve starts from :func:`chained_start` of the potentials
-    before it on the diagonal, and successive bounded potentials are
-    compared in sup norm.  The diagonal is declared convergent when the
-    distance trace has collapsed by at least a factor four from its peak;
-    otherwise the result is returned with ``converged=False`` and the trace
-    attached.
+    The steps are :func:`diagonal_pairs` of the schedules; each solve starts
+    from :func:`chained_start` of the potentials before it on the diagonal,
+    and successive bounded potentials are compared in sup norm.  The
+    diagonal is declared convergent when the distance trace has collapsed by
+    at least a factor four from its peak; otherwise the result is returned
+    with ``converged=False`` and the trace attached.
     """
-    deltas = check_schedule("delta", delta_schedule)
-    epses = check_schedule("eps", eps_schedule)
-    steps = max(len(deltas), len(epses))
-    pad = lambda s: s + [s[-1]] * (steps - len(s))
-    deltas, epses = pad(deltas), pad(epses)
-
+    pairs = diagonal_pairs(delta_schedule, eps_schedule)
     reports: list[SolveReport] = []
     trace: list[float] = []
-    for d, e in zip(deltas, epses):
+    for d, e in pairs:
         rep = solve_ke_ode(base.with_regularization(d, e), tol=tol,
                            v0=chained_start([r.potential for r in reports]))
         if reports:
             trace.append(float(np.max(np.abs(rep.potential - reports[-1].potential))))
         reports.append(rep)
-    converged = len(trace) >= 2 and trace[-1] <= 0.25 * max(trace)
-    return DiagonalResult(tuple(reports), tuple(zip(deltas, epses)),
-                          tuple(trace), converged)
+    converged = trace[-1] <= 0.25 * max(trace)
+    return DiagonalResult(tuple(reports), tuple(pairs), tuple(trace), converged)
 
 
 # ---------------------------------------------------------------------------

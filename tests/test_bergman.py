@@ -183,6 +183,11 @@ def test_convergence_decay_order(smooth_run, smooth_chain):
     assert math.isnan(bergman.convergence_check(short)["decay_order"])
 
 
+def test_run_grid_is_the_resampled_chain_grid(smooth_run, smooth_chain):
+    assert smooth_run.grid is smooth_run.chain.tau.grid
+    assert smooth_run.grid.half_width > smooth_chain.tau.grid.half_width
+
+
 def test_convergence_check_needs_three_levels(smooth_chain):
     short = bergman.run_levels(smooth_chain, 1)
     with pytest.raises(ConfigurationError):

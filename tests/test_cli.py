@@ -73,6 +73,7 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key, value):
     ["solve", "--eps-schedule", "0.05,0.1", "--N", "257"],
     ["suite", "--criteria", "1,x"],
     ["suite", "--criteria", "99"],
+    ["solve", "--delta-schedule", "0.1,0.05", "--N", "257"],  # 2 steps
 ])
 def test_bad_list_key_is_config_error(tmp_path, capsys, args):
     out = tmp_path / "x"

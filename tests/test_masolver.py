@@ -243,6 +243,21 @@ def test_regularized_diagonal_rejects_bad_schedules(grid):
         ma.regularized_diagonal(base, [0.1, -0.05], [0.1, 0.05])
 
 
+def test_regularized_diagonal_refuses_fewer_than_three_steps(monkeypatch, grid):
+    base = ma.ke_problem(4.0, grid=grid)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the schedule was refused")
+
+    monkeypatch.setattr(ma, "solve_ke_ode", no_solve)
+    # two steps give one distance, and the quarter rule needs two
+    for sched in ([0.1, 0.05], [0.1]):
+        with pytest.raises(ConfigurationError, match="3 steps|>= 3"):
+            ma.regularized_diagonal(base, sched, sched)
+    assert ma.diagonal_pairs([0.1, 0.05, 0.025], [0.2]) == [
+        (0.1, 0.2), (0.05, 0.2), (0.025, 0.2)]
+
+
 def test_with_regularization_matches_constructor():
     grid = geo.make_grid(30.0, 513)
     D = geo.divisor(zero="1/2")
@@ -260,11 +275,11 @@ def test_with_regularization_refuses_p_step_problem():
     with pytest.raises(ConfigurationError, match="p-step"):
         prob.with_regularization(0.05, 0.1)
     with pytest.raises(ConfigurationError, match="p-step"):
-        ma.regularized_diagonal(prob, [0.1, 0.05], [0.1, 0.05])
+        ma.regularized_diagonal(prob, [0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
 
 
 def test_diagonal_requires_recipe(grid):
     chi = geo.fs_weight(2.0, grid)
     prob = ma.MAProblem(chi, geo.fs_weight(4.0, grid), geo.DivisorData())
     with pytest.raises(ConfigurationError, match="recipe|constructor"):
-        ma.regularized_diagonal(prob, [0.1, 0.05], [0.1, 0.05])
+        ma.regularized_diagonal(prob, [0.1, 0.05, 0.025], [0.1, 0.05, 0.025])

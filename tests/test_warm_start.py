@@ -14,6 +14,16 @@ from radialke import ricci
 
 GRID_1024 = geo.make_grid(30.0, 1024)
 BASE_41 = np.linspace(-2.0, 2.0, 41)
+BASE_9 = np.linspace(-2.0, 2.0, 9)
+#: (recipe, base nodes, precheck bypass) of the continued fiber families:
+#: the perturbed and conic families, the bypassed concave control and a
+#: coarse base, where the extrapolation reaches twice as far
+FAMILIES = {
+    "perturbed": (fam.perturbed_family_recipe(4.0, 0.05), BASE_41, False),
+    "conic": (fam.conic_family_recipe(4.0, "1/2", 0.05), BASE_41, False),
+    "control": (fam.perturbed_family_recipe(4.0, -0.05), BASE_41, True),
+    "base-9": (fam.perturbed_family_recipe(4.0, 0.05), BASE_9, False),
+}
 SOLVE = ma.solve_ke_ode
 
 
@@ -35,8 +45,9 @@ def count_tridiag(monkeypatch) -> list:
     return calls
 
 
-def family_41(recipe):
-    return fam.build_family(recipe, BASE_41, GRID_1024)
+def build(name):
+    recipe, base, bypass = FAMILIES[name]
+    return fam.build_family(recipe, base, GRID_1024, bypass_precheck=bypass)
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +78,26 @@ def test_predicted_start_continues_geometric_chain_exactly():
     assert ma.chained_start([]) is None
     assert ma.chained_start(chain[:2]) is chain[1]
     assert np.array_equal(ma.chained_start(chain[:3]), chain[3])
+
+
+def test_polynomial_start_reproduces_quintic_in_the_parameter():
+    x = np.array([1.0, -2.0, 0.5, 8.0])
+    coeffs = [c * x for c in (0.3, -0.7, 0.4, -0.15, 0.05, -0.01)]
+    quintic = lambda mu: sum(c * mu ** i for i, c in enumerate(coeffs))
+    mus = np.exp(np.linspace(-2.0, 0.5, 9))
+    solved = [quintic(mu) for mu in mus[:8]]
+    got = ma.polynomial_start(solved, mus[:8], mus[8])
+    assert np.max(np.abs(got - quintic(mus[8]))) <= 1e-12
+
+
+def test_polynomial_start_short_and_constant_chains():
+    v = np.array([0.25, -1.5, 3.0])
+    assert ma.polynomial_start([], [], 1.0) is None
+    assert np.array_equal(ma.polynomial_start([v], [1.0], 2.0), v)
+    # identical fibers (the product family) are continued unchanged
+    mus = np.exp(np.linspace(-2.0, 2.0, 41))
+    got = ma.polynomial_start([v] * 40, mus[:40], mus[40])
+    assert np.max(np.abs(got - v)) <= 1e-15
 
 
 @pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")],
@@ -101,11 +132,9 @@ def test_ricci_warm_run_matches_cold(monkeypatch, p, D):
     assert np.max(np.abs(warm.weight.values - cold.weight.values)) <= 1e-12
 
 
-@pytest.mark.parametrize("recipe", [fam.perturbed_family_recipe(4.0, 0.05),
-                                    fam.conic_family_recipe(4.0, "1/2", 0.05)],
-                         ids=["perturbed", "conic"])
-def test_fiberwise_continuation_matches_cold(monkeypatch, recipe):
-    f = family_41(recipe)
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_fiberwise_continuation_matches_cold(monkeypatch, name):
+    f = build(name)
     warm = fam.solve_fiberwise(f)
     monkeypatch.setattr(fam, "solve_ke_ode", cold_solve)
     cold = fam.solve_fiberwise(f)
@@ -165,11 +194,14 @@ def test_ricci_tridiag_budget(monkeypatch):
     assert len(calls) <= 2 * state.m
 
 
-def test_fiberwise_tridiag_budget(monkeypatch):
-    f = family_41(fam.perturbed_family_recipe(4.0, 0.05))
+@pytest.mark.parametrize("name,per_fiber", [
+    ("perturbed", 1.5), ("conic", 1.5), ("control", 1.5), ("base-9", 3.0)],
+    ids=["perturbed", "conic", "control", "base-9"])
+def test_fiberwise_tridiag_budget(monkeypatch, name, per_fiber):
+    f = build(name)
     calls = count_tridiag(monkeypatch)
     fam.solve_fiberwise(f)
-    assert len(calls) <= 3.5 * f.base_count
+    assert len(calls) <= per_fiber * f.base_count
 
 
 def test_diagonal_tridiag_budget(monkeypatch):
