@@ -308,6 +308,29 @@ def section_window(family: FiberFamily, m: int) -> range:
     return range(0, top + 1)
 
 
+def _section_checks(j: int, m: int, family: FiberFamily,
+                    slope_plus: float) -> float:
+    """Refuse a section ``z^j`` at root order ``m`` outside the window or not
+    integrable against twists of top end slope ``slope_plus``; returns the
+    divisor coefficient ``a_0`` at zero."""
+    if m < 1:
+        raise ConfigurationError(f"root order m must be >= 1, got {m}")
+    window = section_window(family, m)
+    if not window:
+        raise ConfigurationError(f"adjoint bundle has no sections at m = {m}")
+    if j not in window:
+        raise ConfigurationError(
+            f"exponent {j} outside section window [0, {window[-1]}]")
+    a0 = float(family.divisor.coefficient("zero"))
+    slope_lo = j / m + 1.0 - a0
+    slope_hi = j / m + 1.0 - slope_plus - a0
+    if slope_lo <= 0 or slope_hi >= 0:
+        raise ConfigurationError(
+            f"section z^{j} not integrable for this twist (end slopes "
+            f"{slope_lo}, {slope_hi})")
+    return a0
+
+
 def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     """Log of the fiberwise m-th root-integral section norm.
 
@@ -320,27 +343,12 @@ def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
     A klt divisor makes every exponent integrable; the slope precheck
     rejects the rest.
     """
-    if m < 1:
-        raise ConfigurationError(f"root order m must be >= 1, got {m}")
-    window = section_window(family, m)
-    if not window:
-        raise ConfigurationError(f"adjoint bundle has no sections at m = {m}")
-    if j not in window:
-        raise ConfigurationError(
-            f"exponent {j} outside section window [0, {window[-1]}]")
     if not (0 <= fiber_index < family.base_count):
         raise ConfigurationError(f"fiber index {fiber_index} out of range")
-    a0 = float(family.divisor.coefficient("zero"))
     twist = family.twists[fiber_index]
+    a0 = _section_checks(j, m, family, twist.slope_plus)
     grid = family.fiber_grid
     t = grid.nodes
-
-    slope_lo = j / m + 1.0 - a0
-    slope_hi = j / m + 1.0 - twist.slope_plus - a0
-    if slope_lo <= 0 or slope_hi >= 0:
-        raise ConfigurationError(
-            f"section z^{j} not integrable for this twist (end slopes "
-            f"{slope_lo}, {slope_hi})")
     expo = (j / m + 1.0) * t - twist.values - a0 * t
     log_int = logsumexp(expo + grid.log_trapezoid_weights)
     return m * (math.log(2.0 * math.pi) + log_int)
@@ -351,11 +359,23 @@ def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
 
     Positivity of the induced base metric means the negative log norm is
     convex in ``s``; the certificate reports the smallest second difference.
+    Every fiber's :func:`ns_log_norm` is taken at once, as one log-sum-exp
+    per row of the (fibers x nodes) exponent matrix; each value is bitwise
+    the single-fiber one.
     """
     if family.base_count < 3:
         raise ConfigurationError("convexity check needs at least 3 base nodes")
-    vals = np.array([-ns_log_norm(j, m, idx, family)
-                     for idx in range(family.base_count)])
+    twists = family.twists
+    a0 = _section_checks(j, m, family, min(tw.slope_plus for tw in twists))
+    grid = family.fiber_grid
+    t = grid.nodes
+    expo = (j / m + 1.0) * t - np.array([tw.values for tw in twists]) - a0 * t
+    expo += grid.log_trapezoid_weights
+    mx = expo.max(axis=1, keepdims=True)
+    expo -= mx
+    np.exp(expo, out=expo)
+    log_int = mx[:, 0] + np.log(expo.sum(axis=1))
+    vals = -(m * (math.log(2.0 * math.pi) + log_int))
     hs = float(family.base_nodes[1] - family.base_nodes[0])
     d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / hs**2
     min_d2 = float(np.min(d2))

@@ -3,11 +3,22 @@
 Everything downstream funnels its inner loops through three operations:
 
 ``tridiag_solve``
-    Thomas elimination for the Newton linearizations of the radial
-    Monge-Ampere equation.  No pivoting; the systems are weakly diagonally
-    dominant by construction (negative definite interior plus Neumann rows).
-    The sweep is sequential, so it runs on Python floats, not numpy scalars:
-    about four times faster, and bitwise the same elimination.
+    The Newton linearizations of the radial Monge-Ampere equation.  No
+    pivoting; the systems are weakly diagonally dominant by construction
+    (interior rows ``D^2 - diag(g e^v)``, Neumann rows at both ends).  While
+    a system has more than ``SWEEP_ROWS = 128`` rows, odd-even (cyclic)
+    reduction in numpy eliminates its odd rows and halves it; a Thomas sweep
+    on Python floats solves the rest, and the eliminated rows are recovered
+    level by level.  Reduction is stable on diagonally dominant systems
+    (Heller, SIAM J. Numer. Anal. 13, 1976): each level's system is a Schur
+    complement and stays diagonally dominant.  The tests bound the normwise
+    backward error of the hybrid and of the sweep alike by ``4 eps``.  A
+    system of at most 128 rows is solved by the sweep alone, bitwise the
+    float64 Thomas elimination; a larger one moves at rounding level.  A
+    full reduction would pay numpy's per-call overhead on its last, tiny
+    levels, which the sweep does faster.  One call, one BLAS thread, 2-CPU
+    host: 0.53 -> 0.22 ms at 1024 rows and 2.05 -> 0.36 ms at 4096 against
+    the sweep alone, the same at 65 rows.
 
 ``affine_lse_profile``
     ``out[i] = log sum_j exp(slopes[j] * t[i] + offsets[j])``, the log-kernel
@@ -70,20 +81,70 @@ CAP = 300.0  # bound on every factor's exponent in the log-sum-exp kernels
 #: one below this size runs on one thread; a threaded GEMM's bits depend on
 #: where its output is split between threads
 GEMM_CELLS = 2**19
+#: a system of at most this many rows goes straight to the sequential sweep;
+#: below it, numpy call overhead outweighs what a reduction level saves
+SWEEP_ROWS = 128
 
 
 def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
                   b: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by the Thomas algorithm.
+    """Solve a tridiagonal system by odd-even reduction down to a Thomas sweep.
 
     ``dl[i]`` multiplies ``x[i-1]`` (``dl[0]`` unused), ``du[i]`` multiplies
     ``x[i+1]`` (``du[-1]`` unused); ``b`` is read as float64, no input is
-    modified.  Python floats are IEEE doubles and each step is the float64
-    elimination's operation in its order, so the result is bitwise the same.
-    A zero pivot raises ``ZeroDivisionError``.
+    modified.  A system of at most ``SWEEP_ROWS`` rows is solved by the
+    sweep alone, bitwise as the float64 Thomas elimination; a larger one is
+    halved level by level first and its eliminated rows are recovered after
+    the sweep.  A zero pivot raises ``ZeroDivisionError``; one met by the
+    reduction names its row.
     """
-    c, dd = du.tolist(), d.tolist()
-    x = np.asarray(b, dtype=np.float64).tolist()
+    b = np.asarray(b, dtype=np.float64)
+    if d.size <= SWEEP_ROWS:
+        return _sweep(dl, d, du, b)
+    a = np.array(dl, dtype=np.float64)
+    c = np.array(du, dtype=np.float64)
+    a[0] = c[-1] = 0.0  # the unused corners take no part in the reduction
+    d = np.asarray(d, dtype=np.float64)
+    levels, stride = [], 1
+    while d.size > SWEEP_ROWS:
+        # even rows stay; even row 2k absorbs odd rows 2k - 1 and 2k + 1
+        ne, no = (d.size + 1) // 2, d.size // 2
+        ao, do, co, bo = odd = a[1::2], d[1::2], c[1::2], b[1::2]
+        if not do.all():
+            row = stride * (2 * int(np.argmin(do != 0.0)) + 1)
+            raise ZeroDivisionError(f"zero pivot in row {row}")
+        alpha = -a[2::2] / do[:ne - 1]
+        gamma = -c[:2 * no:2] / do
+        a, d, c, b = np.zeros(ne), d[::2].copy(), np.zeros(ne), b[::2].copy()
+        a[1:] = alpha * ao[:ne - 1]
+        d[1:] += alpha * co[:ne - 1]
+        d[:no] += gamma * ao
+        c[:no] = gamma * co
+        b[1:] += alpha * bo[:ne - 1]
+        b[:no] += gamma * bo
+        levels.append(odd)
+        stride *= 2
+    x = _sweep(a, d, c, b)
+    for ao, do, co, bo in reversed(levels):
+        ne, no = x.size, do.size
+        xo = bo - ao * x[:no]
+        xo[:ne - 1] -= co[:ne - 1] * x[1:]
+        xo /= do
+        xe, x = x, np.empty(ne + no)
+        x[::2], x[1::2] = xe, xo
+    return x
+
+
+def _sweep(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+           b: np.ndarray) -> np.ndarray:
+    """The Thomas elimination of ``tridiag_solve``'s system, float64 ``b``.
+
+    The sweep is sequential, so it runs on Python floats: they are IEEE
+    doubles and each step is the float64 elimination's operation in its
+    order, so the result is bitwise the same, about four times faster than
+    on numpy scalars.
+    """
+    c, dd, x = du.tolist(), d.tolist(), b.tolist()
     piv, y = dd[0], x[0]
     for i, (a, cl) in enumerate(zip(dl.tolist()[1:], c), 1):
         m = a / piv

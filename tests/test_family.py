@@ -225,6 +225,28 @@ def test_ns_convexity_perturbed(perturbed):
             assert cert["min_second_diff"] >= -1e-8
 
 
+@pytest.mark.parametrize("recipe", [
+    fam.perturbed_family_recipe(4.0, 0.05),
+    fam.conic_family_recipe(4.0, "1/2", 0.05),
+    fam.product_family_recipe(4.0),
+])
+def test_ns_convexity_values_are_bitwise_single_fiber_norms(recipe):
+    f = fam.build_family(recipe, BASE_9, GRID_257)
+    for m in (1, 2, 3):
+        for j in fam.section_window(f, m):
+            vals = fam.ns_convexity_check(j, m, f)["values"]
+            single = [-fam.ns_log_norm(j, m, idx, f) for idx in range(f.base_count)]
+            assert np.array_equal(vals, single), (j, m)
+
+
+def test_ns_convexity_rejects_bad_exponents(product):
+    f, _ = product
+    with pytest.raises(ConfigurationError, match="outside section window"):
+        fam.ns_convexity_check(99, 1, f)
+    with pytest.raises(ConfigurationError, match="root order"):
+        fam.ns_convexity_check(0, 0, f)
+
+
 def test_ns_convexity_needs_three_fibers():
     f = fam.build_family(fam.product_family_recipe(4.0), np.array([0.0]),
                          GRID_257)

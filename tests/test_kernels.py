@@ -61,20 +61,129 @@ def _newton_system(rng, n):
     return dl, d, du, rng.normal(size=n)
 
 
-@pytest.mark.parametrize("n", [3, 1024, 4096])
-def test_tridiag_newton_system_bitwise_thomas(n):
+#: ``||A x - b|| <= BACKWARD_C eps (||A|| ||x|| + ||b||)`` in the sup norm.
+#: Thomas and odd-even reduction are both backward stable on diagonally
+#: dominant systems; on every system below both stay under 1 (the residual's
+#: own rounding included), so 4 leaves room without hiding an unstable level.
+BACKWARD_C = 4.0
+
+
+def _backward_error(dl, d, du, x, b):
+    """Normwise backward error of ``x`` in units of ``eps``."""
+    r = d * x - b
+    r[1:] += dl[1:] * x[:-1]
+    r[:-1] += du[:-1] * x[1:]
+    a_norm = np.max(np.abs(d) + np.abs(np.r_[0.0, dl[1:]])
+                    + np.abs(np.r_[du[:-1], 0.0]))
+    scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
+    return float(np.max(np.abs(r)) / (np.finfo(np.float64).eps * scale))
+
+
+def _banded(dl, d, du, b):
     from scipy.linalg import solve_banded
 
+    return solve_banded((1, 1), np.vstack([np.r_[0.0, du[:-1]], d,
+                                           np.r_[dl[1:], 0.0]]), b)
+
+
+@pytest.mark.parametrize("n", [3, 1024, 4096])
+def test_tridiag_newton_system_bitwise_thomas(n):
     dl, d, du, b = _newton_system(np.random.default_rng(n), n)
     before = [a.copy() for a in (dl, d, du, b)]
     x = kernels.tridiag_solve(dl, d, du, b)
     for a, a0 in zip((dl, d, du, b), before):
         assert np.array_equal(a, a0)  # inputs untouched
     assert x.dtype == np.float64
-    assert np.array_equal(x, _thomas_oracle(dl, d, du, b))
-    ab = np.vstack([np.r_[0.0, du[:-1]], d, np.r_[dl[1:], 0.0]])
-    ref = solve_banded((1, 1), ab, b)
+    thomas = _thomas_oracle(dl, d, du, b)
+    if n <= kernels.SWEEP_ROWS:
+        assert np.array_equal(x, thomas)
+    else:  # reduced first: as stable as the sweep, not bitwise the same
+        assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+        assert _backward_error(dl, d, du, thomas, b) <= BACKWARD_C
+    ref = _banded(dl, d, du, b)
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+# every parity of the levels: no reduction, the first one, an odd last row
+# at the first level, and two to six levels of odd and even lengths
+_REDUCTION_SIZES = [3, kernels.SWEEP_ROWS, kernels.SWEEP_ROWS + 1,
+                    2 * kernels.SWEEP_ROWS - 1, 2 * kernels.SWEEP_ROWS + 1,
+                    1023, 1025, 4097]
+
+
+@pytest.mark.parametrize("n", _REDUCTION_SIZES)
+@pytest.mark.parametrize("shape", ["random", "newton"])
+def test_tridiag_reduction_sizes(n, shape):
+    rng = np.random.default_rng(n)
+    dl, d, du, b = (_random_tridiag if shape == "random" else _newton_system)(rng, n)
+    x = kernels.tridiag_solve(dl, d, du, b)
+    ref = _banded(dl, d, du, b)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+    assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+    if n <= 2 * kernels.SWEEP_ROWS + 1:
+        dense = np.linalg.solve(_dense(dl, d, du), b)
+        np.testing.assert_allclose(x, dense, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(dense)))
+    # the unused corners are never read
+    dl[0] = du[-1] = np.nan
+    assert np.array_equal(kernels.tridiag_solve(dl, d, du, b), x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 3000), st.integers(0, 2**32 - 1))
+def test_tridiag_random_diagonally_dominant(n, seed):
+    # random signs and a dominance margin down to 5% of the row's off-diagonals
+    rng = np.random.default_rng(seed)
+    dl = rng.uniform(-1.5, 1.5, n)
+    du = rng.uniform(-1.5, 1.5, n)
+    dl[0] = du[-1] = 0.0
+    d = ((np.abs(dl) + np.abs(du)) * rng.uniform(1.05, 2.0, n) + 1e-3) \
+        * rng.choice([-1.0, 1.0], n)
+    b = rng.normal(size=n)
+    x = kernels.tridiag_solve(dl, d, du, b)
+    assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+    ref = _banded(dl, d, du, b)
+    np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_tridiag_decaying_density_newton_system():
+    # the density of a Newton step near the closed form, decaying like e^-|t|
+    # to 1e-13 at the ends: the system is nearly the singular Neumann
+    # Laplacian, condition ~6e6, so the solvers agree to eps * condition
+    n = 2049
+    t = np.linspace(-30.0, 30.0, n)
+    h = t[1] - t[0]
+    dl, _, du, b = _newton_system(np.random.default_rng(1), n)
+    e = np.exp(-np.abs(t))
+    d = -2.0 / h**2 - 2.0 * e / (1.0 + e) ** 2
+    d[0] = d[-1] = 1.0
+    inv = _banded(dl, d, du, np.eye(n))
+    cond = float(np.max(np.abs(_dense(dl, d, du)).sum(axis=1))
+                 * np.max(np.abs(inv).sum(axis=1)))
+    assert 1e6 < cond < 1e8
+    ref = _banded(dl, d, du, b)
+    eps = np.finfo(np.float64).eps
+    for x in (kernels.tridiag_solve(dl, d, du, b), _thomas_oracle(dl, d, du, b)):
+        assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+        assert np.max(np.abs(x - ref)) <= 4.0 * eps * cond * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n,row,coupled", [
+    (3, 0, True),        # the sweep's first pivot
+    (1024, 5, True),     # eliminated at the first level
+    (1024, 4, False),    # eliminated at the third level
+    (1024, 0, False),    # kept down to the sweep
+])
+def test_tridiag_zero_pivot_raises(n, row, coupled):
+    dl, d, du, b = _newton_system(np.random.default_rng(n), n)
+    if not coupled:  # a diagonal system keeps the zero at every level
+        dl[:] = du[:] = 0.0
+        d[:] = 1.0
+    d[row] = 0.0
+    with pytest.raises(ZeroDivisionError) as err:
+        kernels.tridiag_solve(dl, d, du, b)
+    if n > kernels.SWEEP_ROWS and row:
+        assert str(err.value) == f"zero pivot in row {row}"
 
 
 def test_tridiag_integer_rhs_is_read_as_float64():
