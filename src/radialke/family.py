@@ -366,6 +366,7 @@ def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
     if family.base_count < 3:
         raise ConfigurationError("convexity check needs at least 3 base nodes")
     twists = family.twists
+    # the twist of least top slope is the first to lose integrability
     a0 = _section_checks(j, m, family, min(tw.slope_plus for tw in twists))
     grid = family.fiber_grid
     t = grid.nodes
