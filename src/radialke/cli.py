@@ -338,16 +338,18 @@ def _run_family(cfg: dict, out: str) -> dict:
     write_csv(os.path.join(out, "relative_potential.csv"), header, rows)
     write_json(os.path.join(out, "positivity.json"), cert | {"uniform_bound": bound})
 
-    ns_rows = []
+    ns_rows, ns_convex = [], True
     for m in (1, 2, 3):
         for j in family_mod.section_window(fam, m):
-            values = family_mod.ns_convexity_check(j, m, fam)["values"]
-            ns_rows += [(m, j, s, v) for s, v in zip(fam.base_nodes, values)]
+            ns = family_mod.ns_convexity_check(j, m, fam)
+            ns_convex &= ns["passed"]
+            ns_rows += [(m, j, s, v) for s, v in zip(fam.base_nodes, ns["values"])]
     write_csv(os.path.join(out, "ns_trace.csv"),
               ["m", "j", "s", "neg_log_norm"], ns_rows)
     return {"joint_precheck": fam.joint_positive,
             "base_positivity": cert["passed"],
-            "uniform_bound_finite": bool(np.isfinite(bound["bound"]))}
+            "uniform_bound_finite": bool(np.isfinite(bound["bound"])),
+            "section_norm_convexity": ns_convex}
 
 
 def _run_suite(cfg: dict, out: str) -> dict:

@@ -9,7 +9,10 @@ determinant so that degenerate fibers never divide by a vanishing entry.
 The workflow: build a family from a recipe (the joint-positivity precheck on
 the twist gates admission), solve every fiber, then certify positivity of
 the solved relative weight, uniform boundedness over compact base ranges,
-and convexity of the fiberwise section norms in the base coordinate.
+and convexity of the fiberwise section norms in the base coordinate.  Every
+recipe has one form, a model twist plus a bump coupled to the base through
+``exp(s)``; the product, perturbed and conic recipes are values of it.  A
+section norm is taken for every fiber at once, one log-sum-exp row each.
 """
 
 from __future__ import annotations
@@ -64,46 +67,45 @@ BUMPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class FamilyRecipe:
-    """Construction data for a built-in family.
+    """Construction data of a family: the fiber twist over base node ``s`` is
+    the model weight of degree ``k`` plus ``exp(s) * amplitude`` times a
+    bounded bump, on fibers carrying ``divisor``.
 
-    ``perturbed`` couples a bounded bump to the base through
-    ``exp(s) * amplitude``; ``product`` is ``perturbed`` at amplitude 0, with
-    no base dependence; ``conic`` is ``perturbed`` with a fixed fiber divisor.  A negative amplitude flips the coupling
-    concave in the base and is only usable with the precheck bypass (the
-    control experiment for the positivity certificate).
+    The three built-in recipes are values of this one form: ``perturbed``
+    has no divisor, ``product`` is ``perturbed`` at amplitude 0 (no base
+    dependence), and ``conic`` fixes a divisor at zero.  A negative amplitude
+    flips the coupling concave in the base and is only usable with the
+    precheck bypass (the control experiment for the positivity certificate).
     """
 
-    kind: str
     k: float = 4.0
     amplitude: float = 0.05
     bump: str = "fs_bump"
     divisor: DivisorData = field(default_factory=DivisorData)
 
     def __post_init__(self):
-        if self.kind not in ("product", "perturbed", "conic"):
-            raise ConfigurationError(f"unknown family recipe {self.kind!r}")
         if self.bump not in BUMPS:
             raise ConfigurationError(f"unknown bump profile {self.bump!r}")
-        if self.kind == "conic" and self.divisor.is_empty:
-            raise ConfigurationError("conic recipe needs a fiber divisor")
         if not self.divisor.is_klt:
             raise ConfigurationError("fiber divisor must be klt")
 
 
 def product_family_recipe(k: float = 4.0) -> FamilyRecipe:
-    return FamilyRecipe("product", k, 0.0)
+    return FamilyRecipe(k, 0.0)
 
 
 def perturbed_family_recipe(k: float = 4.0, amplitude: float = 0.05,
                             bump: str = "fs_bump") -> FamilyRecipe:
-    return FamilyRecipe("perturbed", k, amplitude, bump)
+    return FamilyRecipe(k, amplitude, bump)
 
 
 def conic_family_recipe(k: float = 4.0, a0: Fraction | float | str = Fraction(1, 2),
                         amplitude: float = 0.05,
                         bump: str = "fs_bump") -> FamilyRecipe:
     D = DivisorData((("zero", Fraction(a0)),))
-    return FamilyRecipe("conic", k, amplitude, bump, D)
+    if D.is_empty:
+        raise ConfigurationError("conic recipe needs a fiber divisor")
+    return FamilyRecipe(k, amplitude, bump, D)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +164,13 @@ class FiberFamily:
     fiber_grid: RadialGrid
     twists: tuple[RadialWeight, ...]
     precheck: dict
-    joint_positive: bool
 
     def __post_init__(self):
         object.__setattr__(self, "base_nodes", readonly_array(self.base_nodes))
+
+    @property
+    def joint_positive(self) -> bool:
+        return bool(self.precheck["passed"])
 
     @property
     def divisor(self) -> DivisorData:
@@ -213,22 +218,20 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                    if cert[entry + "_location"] is not None]
         raise ConfigurationError("family twist fails joint positivity: "
                                  + ", ".join(failing))
-    return FiberFamily(recipe, base, grid, tuple(twists), cert,
-                       bool(cert["passed"]))
+    return FiberFamily(recipe, base, grid, tuple(twists), cert)
 
 
 @dataclass(frozen=True)
 class RelativePotential:
-    """Solved family: fiberwise total weights column by column."""
+    """Solved family: fiberwise total weights column by column; the bounded
+    relative potential of fiber ``i`` is ``reports[i].potential``."""
 
     family: FiberFamily
     weights: np.ndarray     # (fiber nodes) x (base nodes)
-    potentials: np.ndarray  # bounded relative potentials, same shape
     reports: tuple[SolveReport, ...]
 
     def __post_init__(self):
-        for name in ("weights", "potentials"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name)))
+        object.__setattr__(self, "weights", readonly_array(self.weights))
 
 
 def solve_fiberwise(family: FiberFamily) -> RelativePotential:
@@ -256,8 +259,7 @@ def solve_fiberwise(family: FiberFamily) -> RelativePotential:
         cols.append(rep.solution.values)
         pots.append(rep.potential)
         reports.append(rep)
-    return RelativePotential(family, np.column_stack(cols),
-                             np.column_stack(pots), tuple(reports))
+    return RelativePotential(family, np.column_stack(cols), tuple(reports))
 
 
 def base_positivity_check(rel: RelativePotential,
@@ -286,8 +288,9 @@ def uniform_sup_check(rel: RelativePotential,
     mask = (rel.family.base_nodes >= lo) & (rel.family.base_nodes <= hi)
     if not np.any(mask):
         raise ConfigurationError(f"no base nodes inside [{lo}, {hi}]")
-    sups = np.max(rel.potentials[:, mask], axis=0)
-    bound = float(np.max(sups))
+    # numpy's max keeps a NaN wherever it falls; Python's max may drop it
+    bound = float(np.max([rep.potential.max()
+                          for rep, inside in zip(rel.reports, mask) if inside]))
     if not np.isfinite(bound):
         raise ConvergenceError("relative potential unbounded over the range")
     return {"bound": bound, "fibers": int(np.sum(mask)), "range": (lo, hi)}
@@ -308,11 +311,20 @@ def section_window(family: FiberFamily, m: int) -> range:
     return range(0, top + 1)
 
 
-def _section_checks(j: int, m: int, family: FiberFamily,
-                    slope_plus: float) -> float:
-    """Refuse a section ``z^j`` at root order ``m`` outside the window or not
-    integrable against twists of top end slope ``slope_plus``; returns the
-    divisor coefficient ``a_0`` at zero."""
+def ns_log_norm(j: int, m: int, family: FiberFamily) -> np.ndarray:
+    """Log of the fiberwise m-th root-integral section norm, one value per
+    fiber.
+
+    The section ``z^j`` of the m-fold adjoint twisted bundle is integrated
+    with the 1/m-th power of its pointwise norm against the canonical
+    divisor weight, and the result is raised back to the m-th power:
+
+        log |z^j|_m^2 = m log( 2 pi int exp((j/m + 1) t - u_L - a_0 t) dt ).
+
+    Every fiber's integral is one row of a (fibers x nodes) exponent matrix
+    and one :func:`logsumexp` row.  A klt divisor makes every exponent
+    integrable; the slope precheck rejects the rest.
+    """
     if m < 1:
         raise ConfigurationError(f"root order m must be >= 1, got {m}")
     window = section_window(family, m)
@@ -322,61 +334,31 @@ def _section_checks(j: int, m: int, family: FiberFamily,
         raise ConfigurationError(
             f"exponent {j} outside section window [0, {window[-1]}]")
     a0 = float(family.divisor.coefficient("zero"))
+    # the twist of least top slope is the first to lose integrability
+    slope_plus = min(tw.slope_plus for tw in family.twists)
     slope_lo = j / m + 1.0 - a0
     slope_hi = j / m + 1.0 - slope_plus - a0
     if slope_lo <= 0 or slope_hi >= 0:
         raise ConfigurationError(
             f"section z^{j} not integrable for this twist (end slopes "
             f"{slope_lo}, {slope_hi})")
-    return a0
-
-
-def ns_log_norm(j: int, m: int, fiber_index: int, family: FiberFamily) -> float:
-    """Log of the fiberwise m-th root-integral section norm.
-
-    The section ``z^j`` of the m-fold adjoint twisted bundle is integrated
-    with the 1/m-th power of its pointwise norm against the canonical
-    divisor weight, and the result is raised back to the m-th power:
-
-        log |z^j|_m^2 = m log( 2 pi int exp((j/m + 1) t - u_L - a_0 t) dt ).
-
-    A klt divisor makes every exponent integrable; the slope precheck
-    rejects the rest.
-    """
-    if not (0 <= fiber_index < family.base_count):
-        raise ConfigurationError(f"fiber index {fiber_index} out of range")
-    twist = family.twists[fiber_index]
-    a0 = _section_checks(j, m, family, twist.slope_plus)
     grid = family.fiber_grid
     t = grid.nodes
-    expo = (j / m + 1.0) * t - twist.values - a0 * t
-    log_int = logsumexp(expo + grid.log_trapezoid_weights)
-    return m * (math.log(2.0 * math.pi) + log_int)
+    expo = (j / m + 1.0) * t - np.array([tw.values for tw in family.twists]) - a0 * t
+    expo += grid.log_trapezoid_weights
+    return m * (math.log(2.0 * math.pi) + logsumexp(expo))
 
 
 def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
     """Convexity of ``-log`` of the section norm along the base.
 
     Positivity of the induced base metric means the negative log norm is
-    convex in ``s``; the certificate reports the smallest second difference.
-    Every fiber's :func:`ns_log_norm` is taken at once, as one log-sum-exp
-    per row of the (fibers x nodes) exponent matrix; each value is bitwise
-    the single-fiber one.
+    convex in ``s``; the certificate reports the smallest second difference
+    of :func:`ns_log_norm`.
     """
     if family.base_count < 3:
         raise ConfigurationError("convexity check needs at least 3 base nodes")
-    twists = family.twists
-    # the twist of least top slope is the first to lose integrability
-    a0 = _section_checks(j, m, family, min(tw.slope_plus for tw in twists))
-    grid = family.fiber_grid
-    t = grid.nodes
-    expo = (j / m + 1.0) * t - np.array([tw.values for tw in twists]) - a0 * t
-    expo += grid.log_trapezoid_weights
-    mx = expo.max(axis=1, keepdims=True)
-    expo -= mx
-    np.exp(expo, out=expo)
-    log_int = mx[:, 0] + np.log(expo.sum(axis=1))
-    vals = -(m * (math.log(2.0 * math.pi) + log_int))
+    vals = -ns_log_norm(j, m, family)
     hs = float(family.base_nodes[1] - family.base_nodes[0])
     d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / hs**2
     min_d2 = float(np.min(d2))

@@ -99,8 +99,6 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     reduction names its row.
     """
     b = np.asarray(b, dtype=np.float64)
-    if d.size <= SWEEP_ROWS:
-        return _sweep(dl, d, du, b)
     a = np.array(dl, dtype=np.float64)
     c = np.array(du, dtype=np.float64)
     a[0] = c[-1] = 0.0  # the unused corners take no part in the reduction
@@ -237,9 +235,17 @@ def affine_lse_quadrature(t: np.ndarray, logw: np.ndarray,
     return offsets + mx + np.log(lb.sum(axis=0))
 
 
-def logsumexp(values: np.ndarray) -> float:
-    """Stable log(sum(exp(values))) of a 1-d array."""
-    mx = float(np.max(values))
-    if not np.isfinite(mx):
-        return mx
-    return mx + float(np.log(np.sum(np.exp(values - mx))))
+def logsumexp(values: np.ndarray) -> float | np.ndarray:
+    """Stable ``log(sum(exp(values)))``: a float for a 1-d array, one value
+    per row for a 2-d C-contiguous one.
+
+    A non-finite maximum is returned as it is.  Each row's value is bitwise
+    the 1-d result on that row: numpy sums a contiguous row in the same
+    pairwise order whether it stands alone or in a matrix.
+    """
+    mx = np.max(values, axis=-1)
+    finite = np.isfinite(mx)
+    e = np.exp(values - np.where(finite, mx, 0.0)[..., None])
+    with np.errstate(divide="ignore", over="ignore"):  # only non-finite rows warn
+        out = np.where(finite, mx + np.log(np.sum(e, axis=-1)), mx)
+    return float(out) if values.ndim == 1 else out

@@ -303,11 +303,11 @@ def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
     if not solved:
         return None
     pts = solved[-POLY_POINTS:]
-    x = np.asarray(params[-len(pts):], dtype=np.float64)
+    x = [float(p) for p in params[-len(pts):]]
+    at = float(at)
     out = np.array(pts[-1], dtype=np.float64)
     for i in range(len(pts) - 1):
-        others = np.delete(x, i)
-        w = float(np.prod((at - others) / (x[i] - others)))
+        w = math.prod((at - o) / (x[i] - o) for k, o in enumerate(x) if k != i)
         out += w * (pts[i] - pts[-1])
     return out
 

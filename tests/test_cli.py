@@ -12,7 +12,7 @@ from radialke.cli import (KINDS, build_parser, emit_plotdata, keys_of,
                           load_config, main)
 from radialke.conventions import CONVENTIONS_HASH
 from radialke.errors import ConfigurationError
-from radialke.family import perturbed_family_recipe
+from radialke.family import conic_family_recipe, perturbed_family_recipe
 from radialke.geometry import divisor
 from radialke.io import read_csv
 
@@ -262,7 +262,7 @@ def test_recipe_reads_only_its_keys():
     cfg = load_config(None, {"recipe": "conic", "a0": "1/3", "amplitude": 0.03,
                              "bump": "log_bump"}, "family")
     built = cli._recipe_from(cfg)
-    assert (built.kind, built.amplitude, built.bump) == ("conic", 0.03, "log_bump")
+    assert built == conic_family_recipe(4.0, "1/3", 0.03, "log_bump")
     assert built.divisor == divisor(zero="1/3")
     cfg = load_config(None, {"recipe": "perturbed", "amplitude": 0.07}, "family")
     assert cli._recipe_from(cfg) == perturbed_family_recipe(4.0, 0.07)
@@ -392,6 +392,26 @@ def test_family_run(tmp_path):
     assert data.shape == (257, 10)
     ns_header, _ = read_csv(str(out / "ns_trace.csv"))
     assert ns_header == ["m", "j", "s", "neg_log_norm"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"] == {"joint_precheck": True, "base_positivity": True,
+                                    "uniform_bound_finite": True,
+                                    "section_norm_convexity": True}
+
+
+def test_family_run_fails_on_a_failing_section_norm(tmp_path, monkeypatch):
+    check = cli.family_mod.ns_convexity_check
+
+    def fail_at_m2_j1(j, m, fam):
+        cert = check(j, m, fam)
+        return cert | {"passed": cert["passed"] and (j, m) != (1, 2)}
+
+    monkeypatch.setattr(cli.family_mod, "ns_convexity_check", fail_at_m2_j1)
+    out = tmp_path / "fam"
+    assert run_cli(["family", "--out", str(out), "--recipe", "product",
+                    "--base-count", "9", "--fiber-n", "257"]) == 1
+    verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+    assert not verdicts.pop("section_norm_convexity")
+    assert all(verdicts.values())
 
 
 def test_family_failure_still_writes_manifest(tmp_path):

@@ -1,13 +1,14 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from radialke import bergman
+from radialke import bergman, cli
 from radialke import family as fam
 from radialke import geometry as geo
-from radialke.errors import ConfigurationError
+from radialke.errors import ConfigurationError, ConvergenceError
 
 BASE_9 = np.linspace(-2.0, 2.0, 9)
 GRID_257 = geo.make_grid(30.0, 257)
@@ -69,12 +70,19 @@ def test_small_fs_bump_accepted():
 
 
 def test_unknown_recipe_and_bump_rejected():
-    with pytest.raises(ConfigurationError):
-        fam.FamilyRecipe("twisted")
-    with pytest.raises(ConfigurationError):
-        fam.FamilyRecipe("perturbed", bump="sombrero")
-    with pytest.raises(ConfigurationError):
-        fam.conic_family_recipe(4.0, Fraction(3, 2))  # not klt
+    # recipe names are read by the CLI, which refuses an unknown one
+    with pytest.raises(ConfigurationError, match="unknown family recipe"):
+        cli._recipe_constructor("twisted")
+    with pytest.raises(ConfigurationError, match="bump"):
+        fam.FamilyRecipe(bump="sombrero")
+    with pytest.raises(ConfigurationError, match="klt"):
+        fam.conic_family_recipe(4.0, Fraction(3, 2))
+    with pytest.raises(ConfigurationError, match="conic recipe needs a fiber divisor"):
+        fam.conic_family_recipe(4.0, 0)
+
+
+def test_product_is_perturbed_at_amplitude_zero():
+    assert fam.product_family_recipe(3.0) == fam.perturbed_family_recipe(3.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +160,25 @@ def test_positivity_needs_three_base_nodes():
 def test_uniform_sup_product_equals_single_fiber(product):
     _, rel = product
     got = fam.uniform_sup_check(rel, (-2.0, 2.0))
-    assert got["bound"] == pytest.approx(float(np.max(rel.potentials[:, 0])))
+    assert got["bound"] == pytest.approx(float(np.max(rel.reports[0].potential)))
 
 
 def test_uniform_sup_perturbed_finite(perturbed):
     _, rel = perturbed
     got = fam.uniform_sup_check(rel, (-2.0, 2.0))
     assert np.isfinite(got["bound"]) and got["fibers"] == 9
+
+
+@pytest.mark.parametrize("fiber", [0, 4, 8])
+def test_uniform_sup_nan_potential_refused(perturbed, fiber):
+    _, rel = perturbed
+    pot = rel.reports[fiber].potential.copy()
+    pot[len(pot) // 2] = np.nan
+    reports = list(rel.reports)
+    reports[fiber] = dataclasses.replace(reports[fiber], potential=pot)
+    bad = dataclasses.replace(rel, reports=tuple(reports))
+    with pytest.raises(ConvergenceError, match="unbounded"):
+        fam.uniform_sup_check(bad, (-2.0, 2.0))
 
 
 def test_uniform_sup_empty_range_rejected(perturbed):
@@ -173,7 +193,7 @@ def test_uniform_sup_empty_range_rejected(perturbed):
 
 def test_ns_norm_beta_value(product):
     f, _ = product
-    assert math.exp(fam.ns_log_norm(1, 1, 0, f)) == pytest.approx(math.pi / 3.0, rel=1e-8)
+    assert math.exp(fam.ns_log_norm(1, 1, f)[0]) == pytest.approx(math.pi / 3.0, rel=1e-8)
 
 
 def test_ns_norm_matches_level_one_gram(product):
@@ -181,32 +201,32 @@ def test_ns_norm_matches_level_one_gram(product):
     chain = bergman.build_chain(4.0, None, p=1, m=1, grid=f.fiber_grid)
     log_g = bergman.gram_diagonal(bergman.section_range(1, 1, 4.0), chain, None)
     for j in range(3):
-        assert fam.ns_log_norm(j, 1, 0, f) == pytest.approx(log_g[j], abs=1e-10)
+        assert fam.ns_log_norm(j, 1, f)[0] == pytest.approx(log_g[j], abs=1e-10)
 
 
 def test_ns_norm_fiber_independent_on_product(product):
     f, _ = product
-    vals = [math.exp(fam.ns_log_norm(2, 2, idx, f)) for idx in range(f.base_count)]
+    vals = np.exp(fam.ns_log_norm(2, 2, f))
+    assert vals.shape == (f.base_count,)
     assert np.ptp(vals) <= 1e-12 * abs(vals[0])
 
 
 def test_ns_norm_rejects_bad_exponents(product):
     f, _ = product
     with pytest.raises(ConfigurationError):
-        fam.ns_log_norm(99, 1, 0, f)
+        fam.ns_log_norm(99, 1, f)
     with pytest.raises(ConfigurationError):
-        fam.ns_log_norm(0, 0, 0, f)
+        fam.ns_log_norm(0, 0, f)
 
 
 def test_ns_norm_finite_at_klt_boundary():
     # a coefficient just below 1 stays integrable for every admissible
     # exponent; non-klt coefficients never get past recipe validation
-    bad = fam.FamilyRecipe("conic", 4.0, 0.0,
-                           divisor=geo.DivisorData((("zero", Fraction(99, 100)),)))
+    bad = fam.conic_family_recipe(4.0, Fraction(99, 100), 0.0)
     fb = fam.build_family(bad, BASE_9, GRID_257)
     top = math.floor(1 * (4.0 + 0.99 - 2.0) + 1e-9)
     for j in range(0, top + 1):
-        assert np.isfinite(fam.ns_log_norm(j, 1, 0, fb))
+        assert np.all(np.isfinite(fam.ns_log_norm(j, 1, fb)))
 
 
 def test_ns_convexity_product_flat(product):
@@ -223,20 +243,6 @@ def test_ns_convexity_perturbed(perturbed):
             cert = fam.ns_convexity_check(j, m, f)
             assert cert["passed"], (j, m, cert["min_second_diff"])
             assert cert["min_second_diff"] >= -1e-8
-
-
-@pytest.mark.parametrize("recipe", [
-    fam.perturbed_family_recipe(4.0, 0.05),
-    fam.conic_family_recipe(4.0, "1/2", 0.05),
-    fam.product_family_recipe(4.0),
-])
-def test_ns_convexity_values_are_bitwise_single_fiber_norms(recipe):
-    f = fam.build_family(recipe, BASE_9, GRID_257)
-    for m in (1, 2, 3):
-        for j in fam.section_window(f, m):
-            vals = fam.ns_convexity_check(j, m, f)["values"]
-            single = [-fam.ns_log_norm(j, m, idx, f) for idx in range(f.base_count)]
-            assert np.array_equal(vals, single), (j, m)
 
 
 def test_ns_convexity_rejects_bad_exponents(product):

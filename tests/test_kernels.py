@@ -231,6 +231,28 @@ def test_logsumexp_dominates_max(values):
     assert out <= np.max(arr) + np.log(arr.size) + 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 7, 257, 4097])
+def test_logsumexp_rows_bitwise_per_row(n):
+    # rows of very different scale, one of them with an exp(-inf) term
+    rng = np.random.default_rng(n)
+    scales = np.array([1e-6, 1.0, 40.0, 700.0, 1e5, 1e300])
+    rows = rng.normal(size=(scales.size, n)) * scales[:, None]
+    rows[2, 0] = -np.inf
+    assert rows.flags.c_contiguous
+    got = kernels.logsumexp(rows)
+    assert got.shape == (scales.size,)
+    want = np.array([kernels.logsumexp(row) for row in rows])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_logsumexp_rows_pass_non_finite_maxima():
+    rows = np.array([[-np.inf, -np.inf], [0.0, np.inf], [1.0, np.nan],
+                     [0.0, 0.0]])
+    got = kernels.logsumexp(rows)
+    np.testing.assert_array_equal(got, [-np.inf, np.inf, np.nan, np.log(2.0)])
+    np.testing.assert_array_equal(got, [kernels.logsumexp(row) for row in rows])
+
+
 # ---------------------------------------------------------------------------
 # block-factored log-sum-exp kernels against dense scipy oracles
 # ---------------------------------------------------------------------------
