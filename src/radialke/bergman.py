@@ -23,6 +23,7 @@ verifies this guard on every level.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -262,12 +263,13 @@ def c_ell_diagnostic(level: BergmanLevel, reference: np.ndarray) -> float:
 
 @dataclass
 class BergmanRun:
+    """Per-level traces of a kernel recursion on the widened chain."""
+
     chain: WeightChain
     levels: list[BergmanLevel] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     liminf_slacks: list[float] = field(default_factory=list)
     chain_log_integrals: list[float] = field(default_factory=list)
-    chain_log_bounds: list[float] = field(default_factory=list)
     c_ells: list[float] = field(default_factory=list)
     guard_margin: float = float("inf")
 
@@ -281,9 +283,11 @@ class BergmanRun:
         return [lv.basis.n_sections for lv in self.levels]
 
     def chain_slacks(self) -> np.ndarray:
-        """Relative overshoot of the integral chain bound, one per level."""
-        return np.expm1(np.array(self.chain_log_integrals)
-                        - np.array(self.chain_log_bounds))
+        """Relative overshoot of the integral chain bound, one per level; the
+        log bound at level l is the mean of ``log n_sections`` up to l."""
+        log_sums = itertools.accumulate(map(math.log, self.n_sections))
+        log_bounds = [s / ell for ell, s in enumerate(log_sums, start=1)]
+        return np.expm1(np.array(self.chain_log_integrals) - np.array(log_bounds))
 
 
 def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
@@ -310,9 +314,9 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     """Run the kernel recursion to ``ell_max`` with traces.
 
     Per level: sup distance of the renormalized profile to the target on
-    ``WINDOW``, the one-sided slack below the target, the integral-chain pair
-    (log integral, log bound), and the reference gap.  The decay guard is
-    verified on the slowest Gram column of every level.
+    ``WINDOW``, the one-sided slack below the target, the integral-chain log
+    integral (the bound follows from the section counts) and the reference
+    gap.  The decay guard is verified on the slowest Gram column of every level.
     """
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
@@ -324,7 +328,6 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     logw = wide.log_trapezoid_weights
     win = wide.window(*WINDOW)
     target = chain_w.target.values
-    log_n_sum = 0.0
     prev = None
     for ell in range(1, ell_max + 1):
         lv = bergman_step(prev, chain_w)
@@ -346,9 +349,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         # integral chain, all three factors against the same nodal measure
         log_i = logsumexp(lv.kappa.values / ell - chain_w.tau.values + t
                           + math.log(2.0 * math.pi) + logw)
-        log_n_sum += math.log(lv.basis.n_sections)
         run.chain_log_integrals.append(log_i)
-        run.chain_log_bounds.append(log_n_sum / ell)
         if chain_w.eps == 0:
             ref = ell * target + frac_frame_log(ell, chain_w)
             run.c_ells.append(c_ell_diagnostic(lv, ref))

@@ -180,11 +180,12 @@ def validate_config(cfg: dict) -> None:
                                          f"{cfg[key]!r}")
     # the cheap objects the run builds first, so their own checks refuse
     # the inputs outside the theory before any compute: adjoint degrees,
-    # density slopes and the background's curvature mass, which fails on a
-    # grid too coarse or too short for the profile
+    # density slopes, the background's curvature mass (which fails on a grid
+    # too coarse or too short for the profile), a family's joint positivity
     if cfg["kind"] == "family":
         recipe = _recipe_from(cfg)
         ke_problem(recipe.k, recipe.divisor, make_grid(cfg["T"], cfg["fiber_n"]))
+        _family_from(cfg)
     elif cfg["kind"] != "suite":
         D = _divisor_from(cfg)
         grid = _grid_from(cfg)
@@ -222,6 +223,12 @@ def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
     return make(**{key: cfg[key] for key in inspect.signature(make).parameters})
 
 
+def _family_from(cfg: dict) -> family_mod.FiberFamily:
+    base = np.linspace(cfg["base_min"], cfg["base_max"], cfg["base_count"])
+    return family_mod.build_family(_recipe_from(cfg), base,
+                                   make_grid(cfg["T"], cfg["fiber_n"]))
+
+
 def _diagonal_schedules(cfg: dict) -> Optional[tuple[list, list]]:
     """The (delta, eps) schedules of a solve run, each standing in for the
     other when only one is set; None without a diagonal."""
@@ -254,9 +261,9 @@ def _run_solve(cfg: dict, out: str) -> dict:
     diagonal_summary = None
     if schedules := _diagonal_schedules(cfg):
         diag = regularized_diagonal(prob, *schedules, tol=cfg["tol"])
-        rows = [(d, e, r.sup_potential,
-                 diag.trace[i - 1] if i >= 1 else float("nan"))
-                for i, ((d, e), r) in enumerate(zip(diag.pairs, diag.reports))]
+        steps = (float("nan"),) + diag.trace
+        rows = [(d, e, r.sup_potential, step)
+                for (d, e), r, step in zip(diag.pairs, diag.reports, steps)]
         write_csv(os.path.join(out, "diagonal.csv"),
                   ["delta", "eps", "sup_potential", "step_distance"], rows)
         final = float(np.max(np.abs(diag.reports[-1].potential - rep.potential)))
@@ -326,9 +333,7 @@ def _run_bergman(cfg: dict, out: str) -> dict:
 
 
 def _run_family(cfg: dict, out: str) -> dict:
-    base = np.linspace(cfg["base_min"], cfg["base_max"], cfg["base_count"])
-    fam = family_mod.build_family(_recipe_from(cfg), base,
-                                  make_grid(cfg["T"], cfg["fiber_n"]))
+    fam = _family_from(cfg)
     rel = family_mod.solve_fiberwise(fam)
     cert = family_mod.base_positivity_check(rel)
     bound = family_mod.uniform_sup_check(rel, (cfg["base_min"], cfg["base_max"]))

@@ -1,6 +1,7 @@
 """Hot numeric kernels, in plain numpy.
 
-Everything downstream funnels its inner loops through three operations:
+Everything downstream funnels its inner loops through four operations: a
+plain ``logsumexp`` of a vector or of each matrix row, and these three:
 
 ``tridiag_solve``
     The Newton linearizations of the radial Monge-Ampere equation.  No
@@ -30,7 +31,7 @@ Everything downstream funnels its inner loops through three operations:
     Gram norms span hundreds of orders of magnitude at high level, so linear
     scale is never used.
 
-Both log-sum-exp kernels are block factored (the absorption idea of
+Both affine kernels are block factored (the absorption idea of
 log-domain stabilized scaling, Schmitzer, arXiv:1610.06519).  Cut the nodes
 into ``nb`` blocks of ``B`` consecutive nodes with centres ``tau_b``; on a
 uniform grid every block has the same offsets ``delta_r`` from its centre, so

@@ -34,7 +34,7 @@ Every solve stops as soon as a full Newton step falls to the rounding floor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -230,17 +230,27 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What one Newton solve computed; ``integral`` is the trapezoid sum of
+    the solved density, ``problem.mass`` up to the discretization."""
+
     problem: MAProblem
-    solution: RadialWeight
     potential: np.ndarray
-    density: np.ndarray
     iterations: int
     residual: float
-    mass_defect: float
+    integral: float
 
     def __post_init__(self):
-        for name in ("potential", "density"):
-            object.__setattr__(self, name, readonly_array(getattr(self, name)))
+        object.__setattr__(self, "potential", readonly_array(self.potential))
+
+    @property
+    def solution(self) -> RadialWeight:
+        """Background plus potential, with the background's slopes and degree."""
+        bg = self.problem.background
+        return replace(bg, values=bg.values + self.potential, curvature=None)
+
+    @property
+    def mass_defect(self) -> float:
+        return abs(self.integral - self.problem.mass)
 
     @property
     def sup_potential(self) -> float:
@@ -332,7 +342,6 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
     grid = prob.grid
     h = grid.spacing
     n = grid.node_count
-    chi = prob.background.values
     chi_curv = prob.background.curvature_profile()
     g = np.exp(prob.log_density_at_background())
 
@@ -376,11 +385,8 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
             f"Newton stalled at residual {rnorm:.3e} after {iters} iterations "
             f"(tol {tol:.1e})", residual=rnorm)
 
-    density = g * np.exp(v)
-    mass_defect = abs(float(np.sum(grid.trapezoid_weights * density)) - prob.mass)
-    solution = RadialWeight(grid, chi + v, prob.background.slope_minus,
-                            prob.background.slope_plus, prob.background.degree)
-    return SolveReport(prob, solution, v, density, iters, rnorm, mass_defect)
+    integral = float(np.sum(grid.trapezoid_weights * (g * np.exp(v))))
+    return SolveReport(prob, v, iters, rnorm, integral)
 
 
 def closed_form_error(solution: RadialWeight, k: float) -> float:
@@ -404,10 +410,21 @@ def closed_form_error(solution: RadialWeight, k: float) -> float:
 
 @dataclass(frozen=True)
 class DiagonalResult:
+    """One solve per (delta, eps) pair of a regularization diagonal."""
+
     reports: tuple[SolveReport, ...]
     pairs: tuple[tuple[float, float], ...]
-    trace: tuple[float, ...]
-    converged: bool
+
+    @property
+    def trace(self) -> tuple[float, ...]:
+        """Sup distances between the potentials of successive steps."""
+        pots = [r.potential for r in self.reports]
+        return tuple(float(np.max(np.abs(b - a))) for a, b in zip(pots, pots[1:]))
+
+    @property
+    def converged(self) -> bool:
+        """The trace has collapsed by a factor four from its peak."""
+        return self.trace[-1] <= 0.25 * max(self.trace)
 
 
 def check_schedule(name: str, sched: Sequence[float]) -> list[float]:
@@ -449,20 +466,14 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     from :func:`chained_start` of the potentials before it on the diagonal,
     and successive bounded potentials are compared in sup norm.  The
     diagonal is declared convergent when the distance trace has collapsed by
-    at least a factor four from its peak; otherwise the result is returned
-    with ``converged=False`` and the trace attached.
+    at least a factor four from its peak (``DiagonalResult.converged``).
     """
     pairs = diagonal_pairs(delta_schedule, eps_schedule)
     reports: list[SolveReport] = []
-    trace: list[float] = []
     for d, e in pairs:
-        rep = solve_ke_ode(base.with_regularization(d, e), tol=tol,
-                           v0=chained_start([r.potential for r in reports]))
-        if reports:
-            trace.append(float(np.max(np.abs(rep.potential - reports[-1].potential))))
-        reports.append(rep)
-    converged = trace[-1] <= 0.25 * max(trace)
-    return DiagonalResult(tuple(reports), tuple(pairs), tuple(trace), converged)
+        reports.append(solve_ke_ode(base.with_regularization(d, e), tol=tol,
+                                    v0=chained_start([r.potential for r in reports])))
+    return DiagonalResult(tuple(reports), tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

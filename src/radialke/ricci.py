@@ -13,7 +13,6 @@ step problem once and each step hands it on with the new iterate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -49,11 +48,23 @@ class RicciState:
 
 @dataclass
 class RicciTrace:
+    """Per-step ``gaps`` between successive weights, ``SolveReport.integral``
+    and residuals of a p-step run; ``bound`` is its largest admitted ratio."""
+
+    bound: float
     gaps: list[float] = field(default_factory=list)
-    ratios: list[float] = field(default_factory=list)
     norm_integrals: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    violations: list[int] = field(default_factory=list)
+
+    @property
+    def ratios(self) -> list[float]:
+        """Contraction ratio ``gap_m / gap_{m-1}`` of each step m >= 2."""
+        return [b / a for a, b in zip(self.gaps, self.gaps[1:])]
+
+    @property
+    def violations(self) -> list[int]:
+        """The steps m >= 2 whose contraction ratio exceeds ``bound``."""
+        return [m for m, r in enumerate(self.ratios, start=2) if r > self.bound]
 
     def rows(self) -> list[tuple]:
         """``(m, gap, ratio, norm_integral, residual)`` per step; no ratio at m = 1."""
@@ -93,29 +104,6 @@ def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
                       chain[-2:])
 
 
-def normalize_constant(state: RicciState) -> dict:
-    """Reference-measure integral of the current step and its normalization.
-
-    The integral equals the class mass ``p * deg(A)`` by the solved equation;
-    the record also carries the additive constant that would rescale it to
-    the plain semiample volume, and the measure factor ``p`` built into the
-    iteration so that rescaled limits agree across step counts.
-    """
-    if state.m < 1 or state.report is None:
-        raise ConfigurationError("normalization is defined from m >= 1")
-    prob = state.problem
-    p = prob.recipe.p
-    integral = float(np.sum(prob.grid.trapezoid_weights * state.report.density))
-    d_bg = _adjoint_degree(prob.recipe.k, prob.divisor, prob.delta)
-    return {
-        "integral": integral,
-        "target_mass": p * d_bg,
-        "semiample_volume": d_bg,
-        "constant": math.log(d_bg) - math.log(integral),
-        "measure_factor": p,
-    }
-
-
 def fixed_point_residual(state: RicciState) -> float:
     """Sup-norm residual of the limit equation at the current weight.
 
@@ -139,27 +127,21 @@ def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
               solver_tol: float = 1e-10) -> tuple[RicciState, RicciTrace]:
     """Iterate until the sup-norm gap reaches ``stop_tol`` or ``m_max``.
 
-    Records gaps, contraction ratios for m >= 2, per-step normalization
-    integrals and solver residuals.  A ratio exceeding ``(p-1)/p`` by more
-    than ``RATIO_SLACK`` is flagged in ``trace.violations`` rather than
+    Records gaps, per-step normalization integrals (the class mass by the
+    solved equation) and solver residuals.  A ratio exceeding ``(p-1)/p`` by
+    more than ``RATIO_SLACK`` is flagged in ``trace.violations`` rather than
     raised, so a contraction failure is a visible diagnostic.
     """
     if m_max < 2:
         raise ConfigurationError(f"m_max must be >= 2, got {m_max}")
     state = initial_state(k, divisor, p, grid, eps=eps, delta=delta)
-    trace = RicciTrace()
-    bound = (p - 1) / p + RATIO_SLACK
-    for m in range(1, m_max + 1):
+    trace = RicciTrace((p - 1) / p + RATIO_SLACK)
+    for _ in range(m_max):
         state = ricci_step(state, tol=solver_tol)
         gap = float(np.max(np.abs(state.weight.values - state.earlier[-1])))
         trace.gaps.append(gap)
-        trace.norm_integrals.append(normalize_constant(state)["integral"])
+        trace.norm_integrals.append(state.report.integral)
         trace.residuals.append(state.report.residual)
-        if m >= 2:
-            ratio = trace.gaps[-1] / trace.gaps[-2]
-            trace.ratios.append(ratio)
-            if ratio > bound:
-                trace.violations.append(m)
         if gap <= stop_tol:
             break
     return state, trace

@@ -89,7 +89,7 @@ def _crit_contraction(cache: dict) -> tuple[bool, dict]:
         entry = {
             "steps": state.m,
             "max_ratio": max(trace.ratios),
-            "bound": bound + 1e-3,
+            "bound": trace.bound,
             "violations": list(trace.violations),
             "envelope_holds": bool(np.all(env)),
             "seconds": secs,
@@ -177,9 +177,8 @@ def _crit_integral_chain(cache: dict) -> tuple[bool, dict]:
     details = {}
     for name, (run, _) in runs.items():
         cert = bergman.integral_chain_check(run, rel_tol=1e-8)
-        counts_ok = cert["count_formula_exact"] if name == "smooth" else True
         details[name] = cert | {"count_formula_applies": name == "smooth"}
-        ok &= cert["holds"] and (counts_ok is None or counts_ok is True)
+        ok &= cert["holds"] and (name != "smooth" or cert["count_formula_exact"] is True)
     return ok, details
 
 

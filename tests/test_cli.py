@@ -122,6 +122,7 @@ def test_empty_base_range_is_config_error(tmp_path, capsys, lo, hi):
     ["ricci", "--k", "2.5", "--divisor-zero", "1/2"],
     ["bergman", "--k", "2.5", "--divisor-zero", "1/2"],
     ["bergman", "--k", "4.5"],
+    ["family", "--amplitude", "-0.05"],
 ])
 def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
     # the library's own checks on recipes, adjoint degrees and section
@@ -334,6 +335,17 @@ def test_ricci_trace_schema(tmp_path):
     assert summary["max_ratio"] <= 2.0 / 3.0 + 1e-3
 
 
+def test_ricci_ratio_violation_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    # a slack of -0.4 puts the admitted ratio at 0.1, below the p = 2 ratios
+    monkeypatch.setattr(radialke.ricci, "RATIO_SLACK", -0.4)
+    out = tmp_path / "ricci"
+    assert run_cli(["ricci", "--N", "257", "--p", "2", "--out", str(out)]) == 1
+    assert "no_ratio_violations" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"]["no_ratio_violations"] is False
+    assert json.loads((out / "summary.json").read_text())["violations"]
+
+
 def test_bergman_run_and_plotdata(tmp_path):
     out = tmp_path / "berg"
     assert run_cli(["bergman", "--out", str(out), "--ell-max", "12",
@@ -414,14 +426,28 @@ def test_family_run_fails_on_a_failing_section_norm(tmp_path, monkeypatch):
     assert all(verdicts.values())
 
 
-def test_family_failure_still_writes_manifest(tmp_path):
+def test_family_precheck_failure_is_refused_before_output(tmp_path, capsys):
     out = tmp_path / "bad"
     code = run_cli(["family", "--out", str(out), "--recipe", "perturbed",
                     "--amplitude", "-0.05", "--base-count", "9",
                     "--fiber-n", "257"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "joint positivity" in err
+    assert not out.exists()
+
+
+def test_family_solve_failure_still_writes_manifest(tmp_path, monkeypatch):
+    # a fiber tolerance below the rounding floor stalls the first fiber's
+    # Newton solve after validation has passed
+    monkeypatch.setattr(radialke.family, "FIBER_TOL", 1e-300)
+    out = tmp_path / "bad"
+    code = run_cli(["family", "--out", str(out), "--base-count", "9",
+                    "--fiber-n", "257"])
     assert code == 1
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "error" in manifest and "joint positivity" in manifest["error"]
+    assert manifest["verdicts"] == {}
+    assert "fiber 0" in manifest["error"] and "stalled" in manifest["error"]
 
 
 def test_no_partial_files_left(tmp_path):

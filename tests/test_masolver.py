@@ -41,6 +41,18 @@ def test_smooth_oracle_family(grid, k):
     assert err <= 1e-6
 
 
+def test_report_derives_solution_and_mass_defect(smooth_report):
+    rep = smooth_report
+    bg = rep.problem.background
+    sol = rep.solution
+    assert np.array_equal(sol.values, bg.values + rep.potential)
+    assert (sol.slope_minus, sol.slope_plus, sol.degree) == \
+        (bg.slope_minus, bg.slope_plus, bg.degree)
+    with pytest.raises(ValueError):
+        sol.values[0] = 0.0
+    assert rep.mass_defect == abs(rep.integral - rep.problem.mass)
+
+
 def test_total_mass_is_adjoint_degree(grid, smooth_report):
     assert geo.weight_mass(smooth_report.solution) == pytest.approx(2.0)
     assert smooth_report.mass_defect <= 1e-9
@@ -214,6 +226,18 @@ def test_regularized_diagonal_smooth(grid):
     plain = ma.solve_ke_ode(base)
     dist = np.max(np.abs(diag.reports[-1].potential - plain.potential))
     assert dist < 5e-3  # full 1e-3 bound needs the longer acceptance schedule
+
+
+def test_regularized_diagonal_reports_unconverged_trace():
+    # three steps on a coarse conic grid: the distances fall by less than
+    # the factor four the convergence rule asks for
+    base = ma.ke_problem(4.0, geo.divisor(zero="1/2"), geo.make_grid(30.0, 257))
+    sched = [0.1, 0.05, 0.025]
+    diag = ma.regularized_diagonal(base, sched, sched)
+    assert diag.converged is False
+    assert diag.trace == pytest.approx((0.0642, 0.0272), abs=1e-3)
+    pots = [r.potential for r in diag.reports]
+    assert diag.trace[1] == float(np.max(np.abs(pots[2] - pots[1])))
 
 
 def test_regularized_diagonal_monotone_in_delta(grid):

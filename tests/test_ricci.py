@@ -58,21 +58,21 @@ def test_p1_converges_immediately(grid):
 
 def test_normalization_integral_p1(grid):
     st = ricci.ricci_step(ricci.initial_state(4.0, None, 1, grid))
-    rec = ricci.normalize_constant(st)
-    assert rec["integral"] == pytest.approx(2.0, abs=1e-6)
-    assert rec["target_mass"] == pytest.approx(2.0)
+    assert st.report.integral == pytest.approx(st.problem.mass, abs=1e-6)
+    assert st.problem.mass == pytest.approx(2.0)
 
 
 def test_normalization_integral_matches_mass(grid, smooth_run):
-    state, _ = smooth_run
-    rec = ricci.normalize_constant(state)
-    assert rec["integral"] == pytest.approx(rec["target_mass"], abs=1e-6)
-    assert rec["measure_factor"] == 2
+    state, trace = smooth_run
+    assert state.report.integral == pytest.approx(state.problem.mass, abs=1e-6)
+    assert state.problem.mass == pytest.approx(4.0)  # p * deg(A) at p = 2
+    assert trace.norm_integrals[-1] == state.report.integral
 
 
-def test_normalization_needs_a_step(grid):
-    with pytest.raises(ConfigurationError):
-        ricci.normalize_constant(ricci.initial_state(4.0, None, 2, grid))
+def test_trace_ratios_and_violations_follow_from_gaps():
+    trace = ricci.RicciTrace(0.501, gaps=[1.0, 0.5, 0.3, 0.2])
+    assert trace.ratios == [0.5, 0.6, 0.2 / 0.3]
+    assert trace.violations == [3, 4]
 
 
 def test_fixed_point_residual_small_at_convergence(grid, smooth_run):
