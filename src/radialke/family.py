@@ -126,25 +126,37 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
     """
     if U.shape[0] < 3 or U.shape[1] < 3:
         raise ConfigurationError("hessian check needs at least 3 nodes per axis")
-    tt = (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / ht**2
-    ss = (U[1:-1, :-2] - 2.0 * U[1:-1, 1:-1] + U[1:-1, 2:]) / hs**2
-    ts = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * ht * hs)
-    det = tt * ss - ts * ts
+    # the stencils evaluated in place, in the order of
+    # (U[:-2] - 2 U + U[2:]) / h**2 and tt * ss - ts * ts
+    two_u = 2.0 * U[1:-1, 1:-1]
+    tt = U[:-2, 1:-1] - two_u
+    tt += U[2:, 1:-1]
+    tt /= ht**2
+    ss = U[1:-1, :-2] - two_u
+    ss += U[1:-1, 2:]
+    ss /= hs**2
+    ts = U[2:, 2:] - U[2:, :-2]
+    ts -= U[:-2, 2:]
+    ts += U[:-2, :-2]
+    ts /= 4.0 * ht * hs
+    det = tt * ss
+    det -= np.multiply(ts, ts, out=two_u)
 
-    scale_tt = max(1.0, float(np.max(np.abs(tt))))
-    scale_det = max(1.0, float(np.max(np.abs(det))))
     i_tt = np.unravel_index(int(np.argmin(tt)), tt.shape)
     i_det = np.unravel_index(int(np.argmin(det)), det.shape)
     min_tt = float(tt[i_tt])
     min_det = float(det[i_det])
+    # max |x| is the larger of -min x and max x (a NaN leaves the scale 1)
+    scale_tt = max(1.0, -min_tt, float(np.max(tt)))
+    scale_det = max(1.0, -min_det, float(np.max(det)))
     tt_ok = min_tt >= -tol * scale_tt
     det_ok = min_det >= -tol * scale_det
     return {
         "passed": bool(tt_ok and det_ok),
         "min_tt": min_tt,
         "min_det": min_det,
-        "max_abs_mixed": float(np.max(np.abs(ts))),
-        "max_abs_ss": float(np.max(np.abs(ss))),
+        "max_abs_mixed": float(np.max(np.abs(ts, out=ts))),
+        "max_abs_ss": float(np.max(np.abs(ss, out=ss))),
         "tt_location": None if tt_ok else (int(i_tt[0]) + 1, int(i_tt[1]) + 1),
         "det_location": None if det_ok else (int(i_det[0]) + 1, int(i_det[1]) + 1),
         "tol": tol,
@@ -159,14 +171,25 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
 
 @dataclass(frozen=True)
 class FiberFamily:
+    """Fiber twists over the base nodes: row ``i`` of ``twists``, a
+    read-only (fibers x fiber nodes) matrix, is the profile of the twist
+    over ``base_nodes[i]``; every twist has slopes (0, k) and degree k."""
+
     recipe: FamilyRecipe
     base_nodes: np.ndarray
     fiber_grid: RadialGrid
-    twists: tuple[RadialWeight, ...]
+    twists: np.ndarray
     precheck: dict
 
     def __post_init__(self):
         object.__setattr__(self, "base_nodes", readonly_array(self.base_nodes))
+        object.__setattr__(self, "twists", readonly_array(self.twists))
+
+    def twist(self, idx: int) -> RadialWeight:
+        """The twist of fiber ``idx`` as a weight; its values are a view of
+        the row."""
+        k = self.recipe.k
+        return RadialWeight(self.fiber_grid, self.twists[idx], 0.0, k, k)
 
     @property
     def joint_positive(self) -> bool:
@@ -204,12 +227,11 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
 
     bump = BUMPS[recipe.bump](grid.nodes)
     base_fs = fs_weight(recipe.k, grid).values
-    twists = [RadialWeight(grid, base_fs + math.exp(s) * recipe.amplitude * bump,
-                           0.0, recipe.k, recipe.k) for s in base]
+    coupling = np.array([math.exp(s) * recipe.amplitude for s in base])
+    twists = base_fs + coupling[:, None] * bump
 
-    U = np.column_stack([w.values for w in twists])
     if base.size >= 3:
-        cert = hessian_certificate(U, grid.spacing, float(base[1] - base[0]))
+        cert = hessian_certificate(twists.T, grid.spacing, float(base[1] - base[0]))
     else:
         cert = {"passed": True, "note": "fewer than 3 base nodes, s-Hessian not testable"}
     if not cert["passed"] and not bypass_precheck:
@@ -218,7 +240,7 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                    if cert[entry + "_location"] is not None]
         raise ConfigurationError("family twist fails joint positivity: "
                                  + ", ".join(failing))
-    return FiberFamily(recipe, base, grid, tuple(twists), cert)
+    return FiberFamily(recipe, base, grid, twists, cert)
 
 
 @dataclass(frozen=True)
@@ -244,13 +266,21 @@ def solve_fiberwise(family: FiberFamily) -> RelativePotential:
     that start is within 1e-12 of the solution, so a fiber takes about 1.2
     tridiagonal sweeps instead of 3.1 from the two-point predictor, and the
     solution is the cold start's up to rounding.
+
+    The fibers differ only in their twist: the first fiber's equation is
+    built by :func:`ke_problem`, every later one by
+    :meth:`MAProblem.with_twist`, which shares the background and assembles
+    only the twist slot.
     """
     mus = np.exp(family.base_nodes)
     cols, pots, reports = [], [], []
-    for idx, twist in enumerate(family.twists):
+    prob = None
+    for idx in range(family.base_count):
+        twist = family.twist(idx)
         try:
-            prob = ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
-                              twist=twist)
+            prob = (ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
+                               twist=twist)
+                    if prob is None else prob.with_twist(twist))
             rep = solve_ke_ode(prob, tol=FIBER_TOL,
                                v0=polynomial_start(pots, mus[:idx], mus[idx]))
         except (ConfigurationError, ConvergenceError) as exc:
@@ -334,17 +364,16 @@ def ns_log_norm(j: int, m: int, family: FiberFamily) -> np.ndarray:
         raise ConfigurationError(
             f"exponent {j} outside section window [0, {window[-1]}]")
     a0 = float(family.divisor.coefficient("zero"))
-    # the twist of least top slope is the first to lose integrability
-    slope_plus = min(tw.slope_plus for tw in family.twists)
+    # every twist has top slope k
     slope_lo = j / m + 1.0 - a0
-    slope_hi = j / m + 1.0 - slope_plus - a0
+    slope_hi = j / m + 1.0 - family.recipe.k - a0
     if slope_lo <= 0 or slope_hi >= 0:
         raise ConfigurationError(
             f"section z^{j} not integrable for this twist (end slopes "
             f"{slope_lo}, {slope_hi})")
     grid = family.fiber_grid
     t = grid.nodes
-    expo = (j / m + 1.0) * t - np.array([tw.values for tw in family.twists]) - a0 * t
+    expo = (j / m + 1.0) * t - family.twists - a0 * t
     expo += grid.log_trapezoid_weights
     return m * (math.log(2.0 * math.pi) + logsumexp(expo))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, Optional
 
 import numpy as np
@@ -48,7 +49,12 @@ def readonly_array(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform symmetric grid t_0 < ... < t_{N-1} on [-T, T]."""
+    """Uniform symmetric grid t_0 < ... < t_{N-1} on [-T, T].
+
+    The Fubini-Study profile ``log(1 + e^t)`` of the nodes and its sigmoid
+    are computed once per grid, on first use, and are read-only: the model
+    weights, the divisor frames and the delta shift all read them.
+    """
 
     half_width: float
     nodes: np.ndarray
@@ -71,6 +77,16 @@ class RadialGrid:
     @property
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.nodes.size - 1)
+
+    @cached_property
+    def fs_profile(self) -> np.ndarray:
+        """``log(1 + e^t)`` at the nodes."""
+        return readonly_array(np.logaddexp(0.0, self.nodes))
+
+    @cached_property
+    def fs_sigmoid(self) -> np.ndarray:
+        """``e^t / (1 + e^t)`` at the nodes, the slope of :attr:`fs_profile`."""
+        return readonly_array(0.5 * (1.0 + np.tanh(0.5 * self.nodes)))
 
     def window(self, lo: float, hi: float) -> np.ndarray:
         """Boolean mask of nodes inside [lo, hi]."""
@@ -189,6 +205,12 @@ class RadialWeight:
         d[-1] = 0.5 * ((u[-1] - u[-2]) / h + self.slope_plus)
         return d
 
+    @cached_property
+    def mass(self) -> float:
+        """:func:`weight_mass` at its default tolerance, checked once per
+        weight: a weight never changes after construction."""
+        return weight_mass(self)
+
     def curvature_profile(self) -> np.ndarray:
         return self.curvature if self.curvature is not None else self.second_differences()
 
@@ -227,14 +249,6 @@ class RadialWeight:
                             self.degree, curv)
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, t)
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * t))
-
-
 def fs_weight(k: float, grid: RadialGrid) -> RadialWeight:
     """Fubini-Study model weight ``k log(1 + e^t)`` of degree ``k >= 0``.
 
@@ -243,9 +257,8 @@ def fs_weight(k: float, grid: RadialGrid) -> RadialWeight:
     k = float(k)
     if not np.isfinite(k) or k < 0:
         raise ConfigurationError(f"fs_weight needs k >= 0, got {k}")
-    t = grid.nodes
-    sig = _sigmoid(t)
-    return RadialWeight(grid, k * _softplus(t), 0.0, k, k, k * sig * (1.0 - sig))
+    sig = grid.fs_sigmoid
+    return RadialWeight(grid, k * grid.fs_profile, 0.0, k, k, k * sig * (1.0 - sig))
 
 
 def kink_weight(grid: RadialGrid) -> RadialWeight:
@@ -368,10 +381,9 @@ def divisor(zero: Fraction | float | str = 0, infinity: Fraction | float | str =
 
 def fs_frame_log(loc: Location, grid: RadialGrid) -> np.ndarray:
     """log of the Fubini-Study frame norm of the section at ``loc``."""
-    t = grid.nodes
-    sp = _softplus(t)
+    sp = grid.fs_profile
     if loc == "zero":
-        return t - sp
+        return grid.nodes - sp
     if loc == "infinity":
         return -sp
     raise ConfigurationError(f"unsupported divisor point {loc!r}")
@@ -413,6 +425,6 @@ def divisor_eps_weight(D: DivisorData, grid: RadialGrid, eps: float) -> RadialWe
     """
     if eps == 0:
         return divisor_log_weight(D, grid)
-    vals = divisor_frame_log(D, grid, eps) + float(D.total) * _softplus(grid.nodes)
+    vals = divisor_frame_log(D, grid, eps) + float(D.total) * grid.fs_profile
     total = float(D.total)
     return RadialWeight(grid, vals, 0.0, total, total)

@@ -15,6 +15,12 @@ at ``eps = delta = 0`` the normal form is exactly the geometric equation:
 * ``ricci_problem`` solves one step of the p-step iteration for the smooth
   weight on the rescaled semiample class, with the divisor in the density.
 
+A ``ke_problem`` is rebuilt at other (delta, eps) by
+:meth:`MAProblem.with_regularization` and with another twist by
+:meth:`MAProblem.with_twist`.  The latter assembles only the twist slot and
+keeps the background, whose curvature mass is checked once per background
+weight: the fibers of a family share one equation up to their twist.
+
 Solutions are found by damped Newton iteration on the bounded correction
 ``v = u - u_ref`` with discrete Neumann conditions ``v'(+-T) = 0``.  Each
 step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``;
@@ -42,7 +48,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_frame_log, fs_weight, divisor_log_weight,
-                       mollify_weight, readonly_array, weight_mass)
+                       mollify_weight, readonly_array)
 from .kernels import logsumexp, tridiag_solve
 
 #: degree of the auxiliary ample-part divisor used by the delta family
@@ -63,9 +69,9 @@ POLY_POINTS = 6
 @dataclass(frozen=True)
 class Recipe:
     """Constructor inputs a problem was built from, kept to rebuild a
-    :func:`ke_problem` at other (delta, eps); ``p`` is the step count of a
-    :func:`ricci_problem`, else None.  The divisor, grid and previous
-    iterate are read back from the problem itself."""
+    :func:`ke_problem` at other (delta, eps) or with another twist; ``p`` is
+    the step count of a :func:`ricci_problem`, else None.  The divisor, grid
+    and previous iterate are read back from the problem itself."""
 
     k: float
     twist: RadialWeight
@@ -77,11 +83,12 @@ class MAProblem:
     """One assembled Monge-Ampere instance.
 
     ``background`` doubles as the Newton reference: the solution carries its
-    slopes and its mass, ``mass = weight_mass(background)``, checked where
-    the problem is built (also by ``replace``), so a grid too coarse for the
-    background fails before any solve.  ``twist`` is the assembled twist
-    slot, including any frame logs the constructor moved into it.
-    ``coupling``/``prev`` add the optional ``- c * u_prev`` term.
+    slopes and its mass, ``mass = background.mass``, checked once per
+    background weight when the first problem on it is built, so a grid too
+    coarse for the background fails before any solve and a ``replace`` that
+    keeps the background does not check it again.  ``twist`` is the
+    assembled twist slot, including any frame logs the constructor moved
+    into it.  ``coupling``/``prev`` add the optional ``- c * u_prev`` term.
     """
 
     background: RadialWeight
@@ -102,7 +109,7 @@ class MAProblem:
         if self.coupling > 0 and self.prev is None:
             raise ConfigurationError("coupled problem needs a previous iterate")
         self._slope_check()
-        object.__setattr__(self, "mass", weight_mass(self.background))
+        object.__setattr__(self, "mass", self.background.mass)
 
     @property
     def grid(self) -> RadialGrid:
@@ -141,16 +148,30 @@ class MAProblem:
             out = out - self.coupling * self.prev.values
         return out
 
-    def with_regularization(self, delta: float, eps: float) -> "MAProblem":
-        """Rebuild this problem at other (delta, eps); requires a
-        :func:`ke_problem` recipe."""
+    def _ke_recipe(self, action: str) -> Recipe:
         r = self.recipe
         if r is None or r.p is not None:
             raise ConfigurationError(
                 "only a problem built by the ke_problem constructor can be "
-                "re-regularized, not a p-step or hand-built one")
+                f"{action}, not a p-step or hand-built one")
+        return r
+
+    def with_regularization(self, delta: float, eps: float) -> "MAProblem":
+        """Rebuild this problem at other (delta, eps); requires a
+        :func:`ke_problem` recipe."""
+        r = self._ke_recipe("re-regularized")
         return ke_problem(r.k, self.divisor, self.grid, eps=eps, delta=delta,
                           twist=r.twist)
+
+    def with_twist(self, twist: RadialWeight) -> "MAProblem":
+        """This problem with another raw twist, equal to the
+        :func:`ke_problem` built with it; requires a :func:`ke_problem`
+        recipe.  The background and its checked mass are shared, only the
+        twist slot is assembled again."""
+        r = self._ke_recipe("given another twist")
+        slot = _twist_slot(twist, self.divisor, self.grid, self.eps, self.delta)
+        return MAProblem(self.background, slot, self.divisor, eps=self.eps,
+                         delta=self.delta, recipe=Recipe(r.k, twist))
 
 
 def _adjoint_degree(k: float, D: DivisorData, delta: float) -> float:
@@ -181,20 +202,25 @@ def ke_problem(k: float, D: DivisorData | None = None,
     twist_raw = twist if twist is not None else fs_weight(k, grid)
 
     background = fs_weight(d_bg, grid) + divisor_log_weight(D, grid)
-    twist_used = mollify_weight(twist_raw, eps) if eps > 0 else twist_raw
-    frame0 = divisor_frame_log(D, grid, 0.0)
+    return MAProblem(background, _twist_slot(twist_raw, D, grid, eps, delta),
+                     D, eps=eps, delta=delta, recipe=Recipe(float(k), twist_raw))
+
+
+def _twist_slot(twist: RadialWeight, D: DivisorData, grid: RadialGrid,
+                eps: float, delta: float) -> RadialWeight:
+    """The twist slot of :func:`ke_problem`: the raw twist, mollified at
+    ``eps > 0``, plus the unfloored divisor frame logs, less the delta shift,
+    with its slopes moved to match."""
+    used = mollify_weight(twist, eps) if eps > 0 else twist
     a0 = float(D.coefficient("zero"))
     a_inf = float(D.coefficient("infinity"))
     # the delta correction keeps the density of the relative potential fixed
     # while the background class shrinks, so the delta family solves the
     # same equation against moving backgrounds
-    shift = delta * np.logaddexp(0.0, grid.nodes)
-    slot = RadialWeight(grid, twist_used.values + frame0 - shift,
-                        twist_used.slope_minus + a0,
-                        twist_used.slope_plus - a_inf - delta,
-                        twist_used.degree)
-    return MAProblem(background, slot, D, eps=eps, delta=delta,
-                     recipe=Recipe(float(k), twist_raw))
+    shift = delta * grid.fs_profile
+    return RadialWeight(grid, used.values + divisor_frame_log(D, grid, 0.0) - shift,
+                        used.slope_minus + a0, used.slope_plus - a_inf - delta,
+                        used.degree)
 
 
 def ricci_problem(k: float, D: DivisorData | None, p: int,
@@ -398,7 +424,7 @@ def closed_form_error(solution: RadialWeight, k: float) -> float:
     bend the profile.
     """
     grid = solution.grid
-    ref = ((k - 2.0) * np.logaddexp(0.0, grid.nodes)
+    ref = ((k - 2.0) * grid.fs_profile
            + math.log((k - 2.0) / (2.0 * math.pi)))
     win = grid.window(-grid.half_width + 2.0, grid.half_width - 2.0)
     return float(np.max(np.abs(solution.values - ref)[win]))

@@ -261,8 +261,8 @@ def test_kernel_levels_jointly_convex_over_family():
     grid9 = geo.make_grid(30.0, 257)
     f = fam.build_family(fam.perturbed_family_recipe(4.0, 0.05), base, grid9)
     runs = [bergman.run_levels(
-        bergman.build_chain(4.0, None, p=1, m=1, grid=grid9, twist=tw), 6)
-        for tw in f.twists]
+        bergman.build_chain(4.0, None, p=1, m=1, grid=grid9, twist=f.twist(i)), 6)
+        for i in range(f.base_count)]
     ht = runs[0].grid.spacing
     hs = float(base[1] - base[0])
     for ell in range(6):

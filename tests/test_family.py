@@ -8,10 +8,24 @@ import pytest
 from radialke import bergman, cli
 from radialke import family as fam
 from radialke import geometry as geo
+from radialke import masolver as ma
 from radialke.errors import ConfigurationError, ConvergenceError
+from radialke.kernels import logsumexp
 
 BASE_9 = np.linspace(-2.0, 2.0, 9)
 GRID_257 = geo.make_grid(30.0, 257)
+#: (recipe, precheck bypass) of the families the bitwise checks run on
+RECIPES = {
+    "product": (fam.product_family_recipe(4.0), False),
+    "perturbed": (fam.perturbed_family_recipe(4.0, 0.05), False),
+    "conic": (fam.conic_family_recipe(4.0, Fraction(1, 2), 0.05), False),
+    "control": (fam.perturbed_family_recipe(4.0, -0.05), True),
+}
+
+
+def build(name, base=BASE_9, grid=GRID_257):
+    recipe, bypass = RECIPES[name]
+    return fam.build_family(recipe, base, grid, bypass_precheck=bypass)
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +50,29 @@ def test_product_precheck_trivial(product):
     assert f.precheck["max_abs_ss"] == 0.0
     # amplitude 0 leaves every fiber the model twist, bitwise
     fs = geo.fs_weight(4.0, GRID_257)
-    for w in f.twists:
+    for i in range(f.base_count):
+        w = f.twist(i)
         np.testing.assert_array_equal(w.values, fs.values)
         assert (w.slope_minus, w.slope_plus, w.degree) == (0.0, 4.0, 4.0)
+
+
+@pytest.mark.parametrize("name", ["perturbed", "conic"])
+def test_twists_stored_once_as_readonly_matrix(name):
+    f = build(name)
+    recipe = f.recipe
+    bump = fam.BUMPS[recipe.bump](GRID_257.nodes)
+    fs = geo.fs_weight(recipe.k, GRID_257).values
+    assert f.twists.shape == (BASE_9.size, GRID_257.node_count)
+    assert not f.twists.flags.writeable
+    for i, s in enumerate(BASE_9):
+        # the per-fiber formula, bitwise
+        np.testing.assert_array_equal(
+            f.twists[i], fs + math.exp(s) * recipe.amplitude * bump)
+        w = f.twist(i)
+        assert np.shares_memory(w.values, f.twists)
+        assert (w.slope_minus, w.slope_plus, w.degree) == (0.0, 4.0, 4.0)
+    assert f.precheck == fam.hessian_certificate(
+        np.column_stack(list(f.twists)), GRID_257.spacing, BASE_9[1] - BASE_9[0])
 
 
 def test_perturbed_precheck_passes(perturbed):
@@ -102,6 +136,27 @@ def test_perturbed_columns_vary_smoothly(perturbed):
     assert np.min(np.max(np.abs(d1), axis=0)) > 1e-4      # every step genuinely moves
 
 
+@pytest.mark.parametrize("name", ["product", "perturbed", "conic"])
+def test_fiberwise_solve_is_the_per_fiber_constructor_loop(name):
+    # the shared equation with one twist row per fiber is bitwise the loop
+    # that builds every fiber's ke_problem from scratch
+    f = build(name)
+    rel = fam.solve_fiberwise(f)
+    mus = np.exp(f.base_nodes)
+    pots = []
+    for idx, rep in enumerate(rel.reports):
+        prob = ma.ke_problem(f.recipe.k, f.divisor, f.fiber_grid, twist=f.twist(idx))
+        ref = ma.solve_ke_ode(prob, tol=fam.FIBER_TOL,
+                              v0=ma.polynomial_start(pots, mus[:idx], mus[idx]))
+        pots.append(ref.potential)
+        np.testing.assert_array_equal(rep.potential, ref.potential)
+        np.testing.assert_array_equal(rel.weights[:, idx], ref.solution.values)
+        assert (rep.iterations, rep.residual, rep.integral) == \
+            (ref.iterations, ref.residual, ref.integral)
+        np.testing.assert_array_equal(rep.problem.twist.values, prob.twist.values)
+        assert rep.problem.background is rel.reports[0].problem.background
+
+
 def test_failing_fiber_reports_index():
     recipe = fam.conic_family_recipe(2.2, Fraction(1, 2), 0.0)
     f = fam.build_family(recipe, BASE_9, GRID_257, bypass_precheck=True)
@@ -143,6 +198,52 @@ def test_control_family_fails_positivity():
     local = fam.hessian_certificate(rel.weights[i - 1:i + 2, j - 1:j + 2],
                                     GRID_257.spacing, float(BASE_9[1] - BASE_9[0]))
     assert local["min_det"] == cert["min_det"]
+
+
+def reference_certificate(U, ht, hs, tol=fam.POSITIVITY_TOL):
+    """The certificate as first written, out of place: the oracle of the
+    in-place stencils."""
+    tt = (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / ht**2
+    ss = (U[1:-1, :-2] - 2.0 * U[1:-1, 1:-1] + U[1:-1, 2:]) / hs**2
+    ts = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * ht * hs)
+    det = tt * ss - ts * ts
+    scale_tt = max(1.0, float(np.max(np.abs(tt))))
+    scale_det = max(1.0, float(np.max(np.abs(det))))
+    i_tt = np.unravel_index(int(np.argmin(tt)), tt.shape)
+    i_det = np.unravel_index(int(np.argmin(det)), det.shape)
+    min_tt = float(tt[i_tt])
+    min_det = float(det[i_det])
+    tt_ok = min_tt >= -tol * scale_tt
+    det_ok = min_det >= -tol * scale_det
+    return {
+        "passed": bool(tt_ok and det_ok),
+        "min_tt": min_tt,
+        "min_det": min_det,
+        "max_abs_mixed": float(np.max(np.abs(ts))),
+        "max_abs_ss": float(np.max(np.abs(ss))),
+        "tt_location": None if tt_ok else (int(i_tt[0]) + 1, int(i_tt[1]) + 1),
+        "det_location": None if det_ok else (int(i_det[0]) + 1, int(i_det[1]) + 1),
+        "tol": tol,
+        "scale_tt": scale_tt,
+        "scale_det": scale_det,
+    }
+
+
+def bits(cert):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in cert.items()}
+
+
+@pytest.mark.parametrize("name", ["perturbed", "conic", "control"])
+def test_hessian_certificate_matches_reference_bitwise(name):
+    base = np.linspace(-2.0, 2.0, 41)
+    grid = geo.make_grid(30.0, 1024)
+    f = build(name, base, grid)
+    rel = fam.solve_fiberwise(f)
+    ht, hs = grid.spacing, float(base[1] - base[0])
+    for U in (rel.weights, f.twists.T, np.column_stack(list(f.twists))):
+        for tol in (fam.POSITIVITY_TOL, 1e-12):
+            assert bits(fam.hessian_certificate(U, ht, hs, tol)) == \
+                bits(reference_certificate(U, ht, hs, tol))
 
 
 def test_positivity_needs_three_base_nodes():
@@ -202,6 +303,21 @@ def test_ns_norm_matches_level_one_gram(product):
     log_g = bergman.gram_diagonal(bergman.section_range(1, 1, 4.0), chain, None)
     for j in range(3):
         assert fam.ns_log_norm(j, 1, f)[0] == pytest.approx(log_g[j], abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["perturbed", "conic"])
+def test_ns_norm_rows_are_the_per_fiber_integrals(name):
+    # one row of the twist matrix per fiber, bitwise the 1-d integral
+    f = build(name)
+    t = GRID_257.nodes
+    a0 = float(f.divisor.coefficient("zero"))
+    for j, m in ((0, 1), (2, 1), (3, 2)):
+        got = fam.ns_log_norm(j, m, f)
+        for i in range(f.base_count):
+            expo = (j / m + 1.0) * t - f.twist(i).values - a0 * t
+            expo += GRID_257.log_trapezoid_weights
+            want = m * (math.log(2.0 * math.pi) + logsumexp(expo))
+            assert got[i] == want
 
 
 def test_ns_norm_fiber_independent_on_product(product):

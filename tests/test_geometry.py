@@ -51,6 +51,26 @@ def test_widened_keeps_nodes(grid):
     np.testing.assert_array_equal(wide.nodes[i0:i0 + grid.node_count], grid.nodes)
 
 
+def test_grid_fs_profile_computed_once_and_readonly():
+    g = geo.make_grid(30.0, 1025)
+    assert np.array_equal(g.fs_profile, np.logaddexp(0.0, g.nodes))
+    assert np.array_equal(g.fs_sigmoid, 0.5 * (1.0 + np.tanh(0.5 * g.nodes)))
+    for profile in (g.fs_profile, g.fs_sigmoid):
+        assert not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 1.0
+    assert g.fs_profile is g.fs_profile and g.fs_sigmoid is g.fs_sigmoid
+    # the model weight and the frames read the same profile, bitwise
+    sig = 0.5 * (1.0 + np.tanh(0.5 * g.nodes))
+    w = geo.fs_weight(3.0, g)
+    assert np.array_equal(w.values, 3.0 * np.logaddexp(0.0, g.nodes))
+    assert np.array_equal(w.curvature, 3.0 * sig * (1.0 - sig))
+    assert np.array_equal(geo.fs_frame_log("zero", g),
+                          g.nodes - np.logaddexp(0.0, g.nodes))
+    assert np.array_equal(geo.fs_frame_log("infinity", g),
+                          -np.logaddexp(0.0, g.nodes))
+
+
 # ---------------------------------------------------------------------------
 # built-in weights
 # ---------------------------------------------------------------------------
@@ -112,6 +132,13 @@ def test_weight_mass_rejects_inconsistent_slopes(grid):
     w = geo.RadialWeight(grid, geo.fs_weight(4.0, grid).values, 0.0, 3.0, 3.0)
     with pytest.raises(ConfigurationError):
         geo.weight_mass(w)
+    with pytest.raises(ConfigurationError):
+        w.mass
+
+
+def test_weight_mass_property_is_the_checked_mass(grid):
+    w = geo.fs_weight(4.0, grid)
+    assert w.mass == geo.weight_mass(w) == 4.0
 
 
 def test_lelong_smooth(grid):

@@ -292,6 +292,44 @@ def test_with_regularization_matches_constructor():
                                   direct.log_density_at_background())
 
 
+@pytest.mark.parametrize("eps,delta", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.1)])
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2"),
+                               geo.divisor(zero="1/3", infinity="1/4")],
+                         ids=["smooth", "half-zero", "two-point"])
+def test_with_twist_matches_constructor(eps, delta, D):
+    grid = geo.make_grid(30.0, 513)
+    t = grid.nodes
+    twist = geo.RadialWeight(grid, geo.fs_weight(4.0, grid).values
+                             + 0.05 * np.exp(-t * t), 0.0, 4.0, 4.0)
+    rebuilt = ma.ke_problem(4.0, D, grid, eps=eps, delta=delta).with_twist(twist)
+    direct = ma.ke_problem(4.0, D, grid, eps=eps, delta=delta, twist=twist)
+    for a, b in ((rebuilt.twist, direct.twist),
+                 (rebuilt.background, direct.background)):
+        assert np.array_equal(a.values, b.values)
+        assert (a.slope_minus, a.slope_plus, a.degree) == \
+            (b.slope_minus, b.slope_plus, b.degree)
+    assert np.array_equal(rebuilt.background.curvature_profile(),
+                          direct.background.curvature_profile())
+    assert np.array_equal(rebuilt.log_density_at_background(),
+                          direct.log_density_at_background())
+    assert (rebuilt.eps, rebuilt.delta, rebuilt.mass, rebuilt.divisor) == \
+        (direct.eps, direct.delta, direct.mass, direct.divisor)
+    assert rebuilt.recipe.k == direct.recipe.k and rebuilt.recipe.p is None
+    assert rebuilt.recipe.twist is twist
+
+
+def test_with_twist_refuses_p_step_and_hand_built_problems():
+    grid = geo.make_grid(30.0, 513)
+    twist = geo.fs_weight(4.0, grid)
+    prob = ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 2,
+                            geo.fs_weight(3.0, grid), grid)
+    with pytest.raises(ConfigurationError, match="p-step"):
+        prob.with_twist(twist)
+    hand = ma.MAProblem(geo.fs_weight(2.0, grid), twist, geo.DivisorData())
+    with pytest.raises(ConfigurationError, match="hand-built"):
+        hand.with_twist(twist)
+
+
 def test_with_regularization_refuses_p_step_problem():
     grid = geo.make_grid(30.0, 513)
     prob = ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 2,

@@ -45,6 +45,33 @@ def count_tridiag(monkeypatch) -> list:
     return calls
 
 
+def count_ke_problems(monkeypatch) -> list:
+    """Count the :func:`masolver.ke_problem` builds from here on."""
+    calls = []
+    build_problem = ma.ke_problem
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "ke_problem", counted)
+    monkeypatch.setattr(fam, "ke_problem", counted)
+    return calls
+
+
+def count_mass_checks(monkeypatch) -> list:
+    """Count the curvature mass checks of weights from here on."""
+    calls = []
+    check = geo.weight_mass
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "weight_mass", counted)
+    return calls
+
+
 def build(name):
     recipe, base, bypass = FAMILIES[name]
     return fam.build_family(recipe, base, GRID_1024, bypass_precheck=bypass)
@@ -210,3 +237,25 @@ def test_diagonal_tridiag_budget(monkeypatch):
     calls = count_tridiag(monkeypatch)
     ma.regularized_diagonal(base, sched, sched)
     assert len(calls) <= 3.5 * len(sched)
+
+
+# ---------------------------------------------------------------------------
+# work-count guard: problem builds and mass checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_one_problem_build_and_mass_check_per_family(monkeypatch, name):
+    f = build(name)
+    builds = count_ke_problems(monkeypatch)
+    checks = count_mass_checks(monkeypatch)
+    for solves in (1, 2):
+        fam.solve_fiberwise(f)
+        assert len(builds) == solves and len(checks) == solves
+
+
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")],
+                         ids=["smooth", "half-zero"])
+def test_one_mass_check_per_ricci_chain(monkeypatch, D):
+    checks = count_mass_checks(monkeypatch)
+    state, _ = ricci.run_ricci(4.0, D, 3, grid=GRID_1024)
+    assert state.m > 2 and len(checks) == 1
