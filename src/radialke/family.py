@@ -264,7 +264,7 @@ def solve_fiberwise(family: FiberFamily) -> RelativePotential:
     function of it, and each fiber starts from the :func:`polynomial_start`
     through its solved neighbours (the first one flat).  On the default base
     that start is within 1e-12 of the solution, so a fiber takes about 1.2
-    tridiagonal sweeps instead of 3.1 from the two-point predictor, and the
+    tridiagonal sweeps instead of 3.7 from the neighbour alone, and the
     solution is the cold start's up to rounding.
 
     The fibers differ only in their twist: the first fiber's equation is

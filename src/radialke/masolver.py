@@ -28,13 +28,11 @@ damping halves the step until the residual decreases, which for this
 monotone semilinear problem converges from any bounded start.  Chained
 solves therefore start from a prediction instead of the flat ``v = 0`` (the
 predictor of a predictor-corrector continuation, with Newton as the
-corrector).  The p-step iteration and the regularization diagonal use
-:func:`chained_start`: the neighbour's potential, and once two differences
-along the chain exist, their extrapolation :func:`predicted_start`.  The
-fibers of a family, whose twists are affine in the coupling ``exp(s)``, use
-:func:`polynomial_start`, the Lagrange extrapolation in that coupling.
-Every solve stops as soon as a full Newton step falls to the rounding floor
-(``STOP_FACTOR``).
+corrector): :func:`polynomial_start`, the Lagrange extrapolation of the
+solved neighbours in the chain's parameter.  That parameter is ``c^m`` on
+the p-step iteration, ``delta + eps`` on the regularization diagonal and the
+coupling ``exp(s)`` along the base of a family.  Every solve stops as soon
+as a full Newton step falls to the rounding floor (``STOP_FACTOR``).
 """
 
 from __future__ import annotations
@@ -300,31 +298,6 @@ def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
     return r
 
 
-def predicted_start(v: np.ndarray, dv: np.ndarray,
-                    dv_prev: np.ndarray) -> np.ndarray:
-    """Newton start for the next solve of a chain: ``v + rho * dv``.
-
-    ``v`` is the last solution, ``dv`` the last difference along the chain
-    and ``dv_prev`` the one before.  ``rho = min(|dv|_inf / |dv_prev|_inf, 1)``
-    is the observed contraction of the differences, so a geometric chain is
-    continued exactly and the start never goes past linear extrapolation;
-    ``rho = 0`` (the neighbour start) when ``dv_prev`` vanishes.
-    """
-    prev = float(np.max(np.abs(dv_prev)))
-    rho = min(float(np.max(np.abs(dv))) / prev, 1.0) if prev > 0 else 0.0
-    return v + rho * dv
-
-
-def chained_start(solved: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """Start for the next solve of a chain from the potentials solved so far,
-    oldest first: the flat start (``None``) for the first solve, the last
-    potential while fewer than three exist, :func:`predicted_start` after."""
-    if len(solved) < 3:
-        return solved[-1] if solved else None
-    return predicted_start(solved[-1], solved[-1] - solved[-2],
-                           solved[-2] - solved[-3])
-
-
 def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
                      at: float) -> Optional[np.ndarray]:
     """Start for the next solve of a chain whose inputs are smooth in a
@@ -334,13 +307,17 @@ def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
 
     It is summed as ``solved[-1]`` plus weighted differences to it (the
     weights add up to 1), so one potential is returned as it is and
-    identical potentials come back unchanged.
+    identical potentials come back unchanged.  An ``at`` equal to a node
+    returns the latest potential solved there, the interpolant's own value,
+    which also holds when nodes repeat (the p-step chain at ``p = 1``).
     """
     if not solved:
         return None
     pts = solved[-POLY_POINTS:]
     x = [float(p) for p in params[-len(pts):]]
     at = float(at)
+    if at in x:
+        return pts[len(x) - 1 - x[::-1].index(at)]
     out = np.array(pts[-1], dtype=np.float64)
     for i in range(len(pts) - 1):
         w = math.prod((at - o) / (x[i] - o) for k, o in enumerate(x) if k != i)
@@ -353,7 +330,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
     """Damped Newton solve of the assembled equation.
 
     Starts from the bounded correction ``v0`` (``None``: the flat start
-    ``v = 0``); a chained caller passes its :func:`chained_start`, a
+    ``v = 0``); a chained caller passes its :func:`polynomial_start`, a
     prediction from its neighbours, which the monotone damping turns into
     the same solution up to rounding.  Iterates while the residual sup-norm
     keeps improving, at most ``MAX_NEWTON_ITER`` times.  A Newton step no
@@ -489,16 +466,19 @@ def regularized_diagonal(base: MAProblem, delta_schedule: Sequence[float],
     """Walk the (delta, eps) regularization family down a joint diagonal.
 
     The steps are :func:`diagonal_pairs` of the schedules; each solve starts
-    from :func:`chained_start` of the potentials before it on the diagonal,
+    from the :func:`polynomial_start` in ``delta + eps`` through the
+    potentials before it on the diagonal (distinct, since both schedules
+    decrease strictly and only the shorter one is held at its last value),
     and successive bounded potentials are compared in sup norm.  The
     diagonal is declared convergent when the distance trace has collapsed by
     at least a factor four from its peak (``DiagonalResult.converged``).
     """
     pairs = diagonal_pairs(delta_schedule, eps_schedule)
+    sums = [d + e for d, e in pairs]
     reports: list[SolveReport] = []
-    for d, e in pairs:
-        reports.append(solve_ke_ode(base.with_regularization(d, e), tol=tol,
-                                    v0=chained_start([r.potential for r in reports])))
+    for idx, (d, e) in enumerate(pairs):
+        v0 = polynomial_start([r.potential for r in reports], sums[:idx], sums[idx])
+        reports.append(solve_ke_ode(base.with_regularization(d, e), tol=tol, v0=v0))
     return DiagonalResult(tuple(reports), tuple(pairs))
 
 

@@ -21,8 +21,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
                        divisor_log_weight, fs_weight, lelong_numbers)
-from .masolver import (MAProblem, SolveReport, _adjoint_degree, chained_start,
-                       newton_residual, ricci_problem, solve_ke_ode)
+from .masolver import (POLY_POINTS, MAProblem, SolveReport, _adjoint_degree,
+                       newton_residual, polynomial_start, ricci_problem,
+                       solve_ke_ode)
 
 RATIO_SLACK = 1e-3
 DEFAULT_STOP = 1e-10
@@ -38,7 +39,8 @@ class RicciState:
     m: int
     problem: MAProblem
     report: Optional[SolveReport] = None
-    #: values of the (at most two) weights before ``weight``, oldest first
+    #: values of the (at most ``POLY_POINTS - 1``) weights before ``weight``,
+    #: oldest first
     earlier: tuple[np.ndarray, ...] = ()
 
     @property
@@ -90,18 +92,23 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
 def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
     """Advance the iteration by one solve against the current weight.
 
-    The solve starts from ``chained_start`` of the weights so far, as
-    corrections to the step's background: 0 at m = 0, the previous step's
-    solution at m = 1, and from m = 2 on the extrapolation along the step
-    differences, which contract geometrically.  The next state's problem is
-    this step's, coupled against the new weight.
+    The solve starts from the :func:`polynomial_start` through the weights
+    so far, as corrections to the step's background, in ``c^m`` with ``c``
+    the coupling ``(p-1)/p``: the constant mode of the iteration is affine
+    in ``c^m``.  That is 0 at m = 0; at ``p = 1`` every ``c^m`` with
+    m >= 1 is 0, so each later step starts from the previous solution.  The
+    next state's problem is this step's, coupled against the new weight.
     """
     prob = state.problem
     chain = state.earlier + (state.weight.values,)
-    v0 = chained_start([w - prob.background.values for w in chain])
+    c = prob.coupling
+    first = state.m + 1 - len(chain)
+    v0 = polynomial_start([w - prob.background.values for w in chain],
+                          [c ** j for j in range(first, state.m + 1)],
+                          c ** (state.m + 1))
     rep = solve_ke_ode(prob, tol=tol, v0=v0)
     return RicciState(state.m + 1, replace(prob, prev=rep.solution), rep,
-                      chain[-2:])
+                      chain[1 - POLY_POINTS:])
 
 
 def fixed_point_residual(state: RicciState) -> float:
