@@ -40,6 +40,8 @@ from .masolver import ke_problem, solve_ke_ode
 from . import ricci as ricci_mod
 
 DECAY_GUARD_LOG = math.log(1e-30)
+#: largest ``route_agreement`` (p = 1 target vs direct solve) that passes
+ROUTE_TOL = 1e-5
 #: t-window on which the renormalized profile is compared with the target
 WINDOW = (-10.0, 10.0)
 

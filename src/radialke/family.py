@@ -37,6 +37,8 @@ POSITIVITY_TOL = 1e-6
 FIBER_TOL = 1e-11
 #: convexity tolerance on the second differences of :func:`ns_convexity_check`
 NS_CONVEXITY_TOL = 1e-8
+#: root orders ``m`` of the section norms :func:`section_norm_checks` sweeps
+NS_ORDERS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +395,11 @@ def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
     min_d2 = float(np.min(d2))
     return {"passed": bool(min_d2 >= -NS_CONVEXITY_TOL),
             "min_second_diff": min_d2, "values": vals, "tol": NS_CONVEXITY_TOL}
+
+
+def section_norm_checks(family: FiberFamily) -> list[tuple[int, int, dict]]:
+    """The section-norm sweep: ``(m, j, ns_convexity_check(j, m, family))``
+    for every order ``m`` in ``NS_ORDERS`` and every exponent ``j`` of its
+    :func:`section_window`, in that order."""
+    return [(m, j, ns_convexity_check(j, m, family))
+            for m in NS_ORDERS for j in section_window(family, m)]

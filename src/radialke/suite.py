@@ -19,9 +19,9 @@ import numpy as np
 from .geometry import (default_grid, divisor, fs_weight, kink_weight,
                        make_grid)
 from . import bergman, family as family_mod, ricci as ricci_mod
-from .masolver import (closed_form_error, energy, energy_variation,
-                       g_functional, ke_problem, regularized_diagonal,
-                       solve_ke_ode, uniform_bound_check)
+from .masolver import (CLOSED_FORM_TOL, closed_form_error, energy,
+                       energy_variation, g_functional, ke_problem,
+                       regularized_diagonal, solve_ke_ode, uniform_bound_check)
 
 RICCI_CONFIGS = tuple((p, a0) for p in (2, 3, 5) for a0 in (None, "1/2"))
 #: seed of the randomized perturbation checks when the run names none
@@ -60,7 +60,7 @@ def _crit_closed_form(cache: dict) -> tuple[bool, dict]:
     err = closed_form_error(rep.solution, 4.0)
     details = {"sup_error": err, "solve_seconds": elapsed,
                "iterations": rep.iterations, "mass_defect": rep.mass_defect}
-    return err <= 1e-6 and elapsed < 1.0, details
+    return err <= CLOSED_FORM_TOL and elapsed < 1.0, details
 
 
 def _ricci_runs(cache: dict) -> dict:
@@ -165,7 +165,7 @@ def _crit_bergman_convergence(cache: dict) -> tuple[bool, dict]:
                  "seconds": secs}
         details[name] = entry
         route_ok = (math.isnan(check["route_agreement"])
-                    or check["route_agreement"] <= 1e-5)
+                    or check["route_agreement"] <= bergman.ROUTE_TOL)
         ok &= (check["final_distance"] <= bounds[name] and check["monotone"]
                and secs < 300.0 and route_ok)
     return ok, details
@@ -231,54 +231,43 @@ def _crit_regularization(cache: dict) -> tuple[bool, dict]:
         details[name] = {"final_distance": dist, "converged": diag.converged,
                          "trace_tail": list(diag.trace[-3:]),
                          "uniform_bound": bound_cert["bound"]}
-        ok &= dist < 1e-3 and diag.converged and np.isfinite(bound_cert["bound"])
+        ok &= dist < 1e-3 and diag.converged
     return ok, details
 
 
+def _families(cache: dict) -> dict:
+    # the default-base product, perturbed and conic families of criteria 9, 10
+    if "families" not in cache:
+        cache["families"] = {
+            name: family_mod.build_family(recipe) for name, recipe in (
+                ("product", family_mod.product_family_recipe(4.0)),
+                ("perturbed", family_mod.perturbed_family_recipe(4.0, 0.05)),
+                ("conic", family_mod.conic_family_recipe(4.0, Fraction(1, 2), 0.05)))}
+    return cache["families"]
+
+
 def _crit_family_positivity(cache: dict) -> tuple[bool, dict]:
-    recipes = {
-        "product": family_mod.product_family_recipe(4.0),
-        "perturbed": family_mod.perturbed_family_recipe(4.0, 0.05),
-        "conic": family_mod.conic_family_recipe(4.0, Fraction(1, 2), 0.05),
-    }
     ok = True
     details = {}
-    for name, recipe in recipes.items():
-        fam = family_mod.build_family(recipe)
+    for name, fam in _families(cache).items():
         rel = family_mod.solve_fiberwise(fam)
-        cert = family_mod.base_positivity_check(rel, tol=1e-6)
+        cert = family_mod.base_positivity_check(rel)
         details[name] = {k: cert[k] for k in ("passed", "min_tt", "min_det")}
         ok &= cert["passed"]
     control = family_mod.build_family(
         family_mod.perturbed_family_recipe(4.0, -0.05), bypass_precheck=True)
     rel_c = family_mod.solve_fiberwise(control)
-    cert_c = family_mod.base_positivity_check(rel_c, tol=1e-6)
+    cert_c = family_mod.base_positivity_check(rel_c)
     details["control"] = {k: cert_c[k] for k in ("passed", "min_tt", "min_det")}
     ok &= not cert_c["passed"]
     return ok, details
 
 
 def _crit_ns_and_bound(cache: dict) -> tuple[bool, dict]:
-    ok = True
-    details = {}
-    families = {
-        "product": family_mod.build_family(family_mod.product_family_recipe(4.0)),
-        "perturbed": family_mod.build_family(
-            family_mod.perturbed_family_recipe(4.0, 0.05)),
-        "conic": family_mod.build_family(
-            family_mod.conic_family_recipe(4.0, Fraction(1, 2), 0.05)),
-    }
-    worst = math.inf
-    pairs = 0
-    for fam in families.values():
-        for m in (1, 2, 3):
-            for j in family_mod.section_window(fam, m):
-                cert = family_mod.ns_convexity_check(j, m, fam)
-                worst = min(worst, cert["min_second_diff"])
-                pairs += 1
-                ok &= cert["passed"]
-    details["ns_pairs"] = pairs
-    details["ns_worst_second_diff"] = worst
+    certs = [cert for fam in _families(cache).values()
+             for _, _, cert in family_mod.section_norm_checks(fam)]
+    details = {"ns_pairs": len(certs),
+               "ns_worst_second_diff": min(cert["min_second_diff"] for cert in certs)}
 
     bounds = {}
     for N in (2048, 4096):
@@ -289,8 +278,7 @@ def _crit_ns_and_bound(cache: dict) -> tuple[bool, dict]:
     drift = abs(bounds[4096] - bounds[2048])
     details["uniform_bound"] = bounds[2048]
     details["bound_drift_on_doubling"] = drift
-    ok &= np.isfinite(bounds[2048]) and drift <= 1e-4
-    return ok, details
+    return all(cert["passed"] for cert in certs) and drift <= 1e-4, details
 
 
 CRITERIA: tuple[tuple[int, str, Callable], ...] = (

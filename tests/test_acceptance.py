@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from radialke import suite
+from radialke import family, suite
 
 _CACHE: dict = {}
 
@@ -22,3 +22,16 @@ def test_acceptance_criterion(cid, name, fn):
     result = suite._timed(fn, cid, name, _CACHE)
     print(result.line())
     assert result.passed, json.dumps(result.details, indent=2, default=str)
+
+
+@pytest.mark.parametrize("ids,builds", [([10], 5), ([9, 10], 6)])
+def test_family_criteria_share_their_families(monkeypatch, ids, builds):
+    # criteria 9 and 10 build the product, perturbed and conic families
+    # once; 9 adds its control and 10 its two bound-drift families
+    calls = []
+    build = family.build_family
+    monkeypatch.setattr(family, "build_family",
+                        lambda *args, **kw: calls.append(args) or build(*args, **kw))
+    results = suite.run_criteria(ids)
+    assert [r.cid for r in results] == ids and all(r.passed for r in results)
+    assert len(calls) == builds

@@ -405,8 +405,7 @@ def test_family_run(tmp_path):
     ns_header, _ = read_csv(str(out / "ns_trace.csv"))
     assert ns_header == ["m", "j", "s", "neg_log_norm"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["verdicts"] == {"joint_precheck": True, "base_positivity": True,
-                                    "uniform_bound_finite": True,
+    assert manifest["verdicts"] == {"base_positivity": True,
                                     "section_norm_convexity": True}
 
 
@@ -424,6 +423,86 @@ def test_family_run_fails_on_a_failing_section_norm(tmp_path, monkeypatch):
     verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
     assert not verdicts.pop("section_norm_convexity")
     assert all(verdicts.values())
+
+
+# ---------------------------------------------------------------------------
+# every verdict can fail: exit 1, the verdict False in the manifest and named
+# on stderr, every other verdict of the run True
+# ---------------------------------------------------------------------------
+
+def assert_only_failing(code, out, capsys, *names):
+    assert code == 1
+    err = capsys.readouterr().err
+    verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+    for name in names:
+        assert name in err
+        assert verdicts.pop(name) is False
+    assert verdicts and all(verdicts.values())
+
+
+def test_ricci_too_few_steps_fails_convergence_verdicts(tmp_path, capsys):
+    out = tmp_path / "ricci"
+    code = run_cli(["ricci", "--p", "2", "--N", "257", "--m-max", "2",
+                    "--out", str(out)])
+    assert_only_failing(code, out, capsys, "converged", "fixed_point_residual_small")
+
+
+def test_solve_mass_defect_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(radialke.masolver.SolveReport, "mass_defect",
+                        property(lambda self: 1.0))
+    out = tmp_path / "solve"
+    code = run_cli(["solve", "--N", "257", "--out", str(out)])
+    assert_only_failing(code, out, capsys, "mass_defect_small")
+
+
+def test_solve_closed_form_error_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "closed_form_error", lambda solution, k: 1.0)
+    out = tmp_path / "solve"
+    code = run_cli(["solve", "--N", "257", "--out", str(out)])
+    assert_only_failing(code, out, capsys, "closed_form_oracle")
+
+
+def test_solve_unconverged_diagonal_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(radialke.masolver.DiagonalResult, "converged",
+                        property(lambda self: False))
+    out = tmp_path / "diag"
+    code = run_cli(["solve", "--N", "257", "--divisor-zero", "1/2", "--out", str(out),
+                    "--delta-schedule", "0.1,0.05,0.025,0.0125,0.00625"])
+    assert_only_failing(code, out, capsys, "diagonal_converged")
+
+
+@pytest.mark.parametrize("check,key,verdict", [
+    ("integral_chain_check", "holds", "chain_inequality"),
+    ("convergence_check", "monotone", "distance_decreasing"),
+])
+def test_bergman_failing_certificate_fails_its_verdict(tmp_path, capsys, monkeypatch,
+                                                       check, key, verdict):
+    certify = getattr(radialke.bergman, check)
+    monkeypatch.setattr(radialke.bergman, check,
+                        lambda run, *args: certify(run, *args) | {key: False})
+    out = tmp_path / "berg"
+    code = run_cli(["bergman", "--N", "257", "--ell-max", "4", "--out", str(out)])
+    assert_only_failing(code, out, capsys, verdict)
+
+
+def test_bergman_route_disagreement_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    # without a divisor the two routes agree bit for bit; with one they
+    # differ by rounding, which a zero tolerance refuses
+    monkeypatch.setattr(radialke.bergman, "ROUTE_TOL", 0.0)
+    out = tmp_path / "berg"
+    code = run_cli(["bergman", "--N", "257", "--ell-max", "4", "--divisor-zero", "1/2",
+                    "--out", str(out)])
+    assert_only_failing(code, out, capsys, "route_agreement")
+
+
+def test_family_failing_positivity_fails_its_verdict(tmp_path, capsys, monkeypatch):
+    certify = radialke.family.base_positivity_check
+    monkeypatch.setattr(radialke.family, "base_positivity_check",
+                        lambda rel: certify(rel) | {"passed": False})
+    out = tmp_path / "fam"
+    code = run_cli(["family", "--recipe", "product", "--base-count", "9",
+                    "--fiber-n", "257", "--out", str(out)])
+    assert_only_failing(code, out, capsys, "base_positivity")
 
 
 def test_family_precheck_failure_is_refused_before_output(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,18 @@ def test_newton_reports_divergence(grid, monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         ma.solve_ke_ode(prob, tol=1e-10)
     assert err.value.residual is not None
+
+
+def test_nan_twist_raises_instead_of_returning_nan():
+    # a NaN residual is not within tol; it used to come back as a report
+    # with residual and integral NaN after 0 iterations
+    grid = geo.make_grid(30.0, 257)
+    w = geo.fs_weight(4.0, grid)
+    values = np.array(w.values)
+    values[100] = np.nan
+    prob = ma.ke_problem(4.0, grid=grid, twist=replace(w, values=values))
+    with pytest.raises(ConvergenceError, match="nan"):
+        ma.solve_ke_ode(prob)
 
 
 def test_comparison_principle_on_random_twists(grid):
