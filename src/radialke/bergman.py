@@ -107,8 +107,9 @@ def frac_frame_log(level: int, chain: "WeightChain") -> np.ndarray:
     to the Fubini-Study frame norm.
     """
     lp = Fraction(level * chain.p)
-    fracs = [(loc, math.ceil(lp * a) - lp * a) for loc, a in chain.divisor.terms]
-    return divisor_frame_log(DivisorData(tuple((loc, f) for loc, f in fracs if f)),
+    frac = lambda a: math.ceil(lp * a) - lp * a
+    D = chain.divisor
+    return divisor_frame_log(DivisorData(zero=frac(D.zero), infinity=frac(D.infinity)),
                              chain.tau.grid)
 
 

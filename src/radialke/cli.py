@@ -321,8 +321,9 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     conv = (bergman.convergence_check(run)
             if len(run.levels) >= 3 and chain.eps == 0 else {})
     chain_cert = bergman.integral_chain_check(run)
-    verdicts = {"chain_inequality": chain_cert["holds"],
-                "distance_decreasing": conv.get("monotone", True)}
+    verdicts = {"chain_inequality": chain_cert["holds"]}
+    if conv:
+        verdicts["distance_decreasing"] = conv["monotone"]
     if not math.isnan(chain.route_agreement):
         verdicts["route_agreement"] = chain.route_agreement <= bergman.ROUTE_TOL
     write_json(os.path.join(out, "summary.json"),

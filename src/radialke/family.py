@@ -104,7 +104,7 @@ def perturbed_family_recipe(k: float = 4.0, amplitude: float = 0.05,
 def conic_family_recipe(k: float = 4.0, a0: Fraction | float | str = Fraction(1, 2),
                         amplitude: float = 0.05,
                         bump: str = "fs_bump") -> FamilyRecipe:
-    D = DivisorData((("zero", Fraction(a0)),))
+    D = DivisorData(zero=a0)
     if D.is_empty:
         raise ConfigurationError("conic recipe needs a fiber divisor")
     return FamilyRecipe(k, amplitude, bump, D)
@@ -173,9 +173,10 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
 
 @dataclass(frozen=True)
 class FiberFamily:
-    """Fiber twists over the base nodes: row ``i`` of ``twists``, a
-    read-only (fibers x fiber nodes) matrix, is the profile of the twist
-    over ``base_nodes[i]``; every twist has slopes (0, k) and degree k."""
+    """Fiber twists over the base nodes, a uniform increasing grid of at
+    least 3 nodes: row ``i`` of ``twists``, a read-only (fibers x fiber
+    nodes) matrix, is the profile of the twist over ``base_nodes[i]``; every
+    twist has slopes (0, k) and degree k."""
 
     recipe: FamilyRecipe
     base_nodes: np.ndarray
@@ -205,10 +206,10 @@ class FiberFamily:
     def base_count(self) -> int:
         return self.base_nodes.size
 
-
-def default_base_nodes() -> np.ndarray:
-    lo, hi, count = DEFAULT_BASE
-    return np.linspace(lo, hi, count)
+    @property
+    def base_spacing(self) -> float:
+        """The step of the base, uniform as :func:`build_family` checks."""
+        return float(self.base_nodes[1] - self.base_nodes[0])
 
 
 def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
@@ -216,15 +217,22 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                  bypass_precheck: bool = False) -> FiberFamily:
     """Assemble fiber twists and run the joint-positivity precheck.
 
-    The precheck applies the 2x2 Hessian certificate to the twist matrix;
-    rejection carries the offending node.  ``bypass_precheck`` admits a
-    failing family anyway (control experiments only).
+    The base (default ``DEFAULT_BASE``) must be an increasing grid of at
+    least 3 nodes, uniform to ``1e-12 max(1, max|s|)`` as the
+    :func:`kernels.block_layout` nodes are: the (s, s) and (t, s) stencils
+    of every certificate read its one step.  The precheck applies the 2x2
+    Hessian certificate to the twist matrix; rejection carries the
+    offending node.  ``bypass_precheck`` admits a failing family anyway
+    (control experiments only).
     """
-    base = default_base_nodes() if base_nodes is None else np.asarray(base_nodes, float)
-    if base.ndim != 1 or base.size < 1:
-        raise ConfigurationError("base grid must be a nonempty 1-d array")
-    if base.size > 1 and np.min(np.diff(base)) <= 0:
-        raise ConfigurationError("base nodes must be strictly increasing")
+    base = (np.linspace(*DEFAULT_BASE) if base_nodes is None
+            else np.asarray(base_nodes, float))
+    if base.ndim != 1 or base.size < 3:
+        raise ConfigurationError("family base needs a 1-d grid of at least 3 nodes")
+    step = (base[-1] - base[0]) / (base.size - 1)
+    drift = np.max(np.abs(base - (base[0] + step * np.arange(base.size))))
+    if not (step > 0 and drift <= 1e-12 * max(1.0, float(np.max(np.abs(base))))):
+        raise ConfigurationError("family base nodes must be uniform and increasing")
     grid = fiber_grid or make_grid(30.0, DEFAULT_FIBER_N)
 
     bump = BUMPS[recipe.bump](grid.nodes)
@@ -232,10 +240,7 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     coupling = np.array([math.exp(s) * recipe.amplitude for s in base])
     twists = base_fs + coupling[:, None] * bump
 
-    if base.size >= 3:
-        cert = hessian_certificate(twists.T, grid.spacing, float(base[1] - base[0]))
-    else:
-        cert = {"passed": True, "note": "fewer than 3 base nodes, s-Hessian not testable"}
+    cert = hessian_certificate(twists.T, grid.spacing, float(base[1] - base[0]))
     if not cert["passed"] and not bypass_precheck:
         failing = [f"min {entry} {cert['min_' + entry]:.3e} at interior node "
                    f"{cert[entry + '_location']}" for entry in ("det", "tt")
@@ -303,10 +308,8 @@ def base_positivity_check(rel: RelativePotential,
     certificate carries the global minima and the location of each failing
     one.
     """
-    if rel.family.base_count < 3:
-        raise ConfigurationError("positivity check needs at least 3 base nodes")
-    hs = float(rel.family.base_nodes[1] - rel.family.base_nodes[0])
-    cert = hessian_certificate(rel.weights, rel.family.fiber_grid.spacing, hs, tol)
+    cert = hessian_certificate(rel.weights, rel.family.fiber_grid.spacing,
+                               rel.family.base_spacing, tol)
     cert["joint_positive_input"] = rel.family.joint_positive
     cert["scope"] = ("interior joint positivity over the sampled base window; "
                      "no extension across degenerate fibers is certified")
@@ -387,11 +390,8 @@ def ns_convexity_check(j: int, m: int, family: FiberFamily) -> dict:
     convex in ``s``; the certificate reports the smallest second difference
     of :func:`ns_log_norm`.
     """
-    if family.base_count < 3:
-        raise ConfigurationError("convexity check needs at least 3 base nodes")
     vals = -ns_log_norm(j, m, family)
-    hs = float(family.base_nodes[1] - family.base_nodes[0])
-    d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / hs**2
+    d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / family.base_spacing**2
     min_d2 = float(np.min(d2))
     return {"passed": bool(min_d2 >= -NS_CONVEXITY_TOL),
             "min_second_diff": min_d2, "values": vals, "tol": NS_CONVEXITY_TOL}

@@ -326,67 +326,56 @@ def mollify_weight(w: RadialWeight, eps: float) -> RadialWeight:
 
 @dataclass(frozen=True)
 class DivisorData:
-    """Effective Q-divisor supported at the two torus-fixed points.
+    """Effective Q-divisor supported at the two torus-fixed points: its
+    coefficient at zero and at infinity.
 
     Coefficients are exact rationals so that level arithmetic downstream
-    (ceilings of multiples) is exact.  Frames are fixed to the Fubini-Study
-    frames, under which both section norms lie in (0, 1).
+    (ceilings of multiples) is exact; Fractions, strings and floats are
+    coerced.  Frames are fixed to the Fubini-Study frames, under which both
+    section norms lie in (0, 1).
     """
 
-    terms: tuple[tuple[Location, Fraction], ...] = field(default_factory=tuple)
+    zero: Fraction = Fraction(0)
+    infinity: Fraction = Fraction(0)
 
     def __post_init__(self):
-        seen = set()
-        norm = []
-        for loc, coeff in self.terms:
-            if loc not in ("zero", "infinity"):
-                raise ConfigurationError(f"unsupported divisor point {loc!r}")
-            if loc in seen:
-                raise ConfigurationError(f"duplicate divisor point {loc!r}")
-            seen.add(loc)
-            coeff = Fraction(coeff)
+        for loc in ("zero", "infinity"):
+            coeff = Fraction(getattr(self, loc))
             if coeff < 0:
                 raise ConfigurationError("divisor coefficients must be >= 0")
-            norm.append((loc, coeff))
-        object.__setattr__(self, "terms", tuple(norm))
+            object.__setattr__(self, loc, coeff)
+
+    @property
+    def terms(self) -> tuple[tuple[Location, Fraction], ...]:
+        """The nonzero ``(point, coefficient)`` pairs, zero first."""
+        return tuple((loc, c) for loc, c in (("zero", self.zero),
+                                             ("infinity", self.infinity)) if c)
 
     @property
     def is_empty(self) -> bool:
-        return all(c == 0 for _, c in self.terms)
+        return self.zero == self.infinity == 0
 
     @property
     def is_klt(self) -> bool:
-        return all(c < 1 for _, c in self.terms)
+        return self.zero < 1 and self.infinity < 1
 
     def coefficient(self, loc: Location) -> Fraction:
-        for point, coeff in self.terms:
-            if point == loc:
-                return coeff
-        return Fraction(0)
+        return {"zero": self.zero, "infinity": self.infinity}[loc]
 
     @property
     def total(self) -> Fraction:
-        return sum((c for _, c in self.terms), Fraction(0))
+        return self.zero + self.infinity
 
 
-def divisor(zero: Fraction | float | str = 0, infinity: Fraction | float | str = 0) -> DivisorData:
-    """Convenience constructor; coefficients may be Fractions, strings or floats."""
-    terms = []
-    if zero:
-        terms.append(("zero", Fraction(zero)))
-    if infinity:
-        terms.append(("infinity", Fraction(infinity)))
-    return DivisorData(tuple(terms))
+#: the constructor under its short name
+divisor = DivisorData
 
 
 def fs_frame_log(loc: Location, grid: RadialGrid) -> np.ndarray:
-    """log of the Fubini-Study frame norm of the section at ``loc``."""
+    """log of the Fubini-Study frame norm of the section at ``loc``, one of
+    the two points of :attr:`DivisorData.terms`."""
     sp = grid.fs_profile
-    if loc == "zero":
-        return grid.nodes - sp
-    if loc == "infinity":
-        return -sp
-    raise ConfigurationError(f"unsupported divisor point {loc!r}")
+    return grid.nodes - sp if loc == "zero" else -sp
 
 
 def divisor_frame_log(D: DivisorData, grid: RadialGrid, eps: float = 0.0) -> np.ndarray:
@@ -395,8 +384,6 @@ def divisor_frame_log(D: DivisorData, grid: RadialGrid, eps: float = 0.0) -> np.
         raise ConfigurationError(f"frame floor must be finite and >= 0, got {eps}")
     out = np.zeros(grid.node_count)
     for loc, coeff in D.terms:
-        if coeff == 0:
-            continue
         log_frame = fs_frame_log(loc, grid)
         if eps > 0:
             log_frame = np.logaddexp(log_frame, 2.0 * np.log(eps))

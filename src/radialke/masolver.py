@@ -224,7 +224,8 @@ def _twist_slot(twist: RadialWeight, D: DivisorData, grid: RadialGrid,
 
 
 def ricci_problem(k: float, D: DivisorData | None, p: int,
-                  prev: RadialWeight, grid: RadialGrid | None = None, *,
+                  prev: RadialWeight | None = None,
+                  grid: RadialGrid | None = None, *,
                   eps: float = 0.0, delta: float = 0.0,
                   twist: RadialWeight | None = None) -> MAProblem:
     """Assemble one step of the p-step iteration against iterate ``prev``.
@@ -232,7 +233,9 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
     The solution lives on the p-rescaled semiample class (smooth slopes);
     the divisor enters through the density.  The reference measure carries a
     factor ``p`` so that the rescaled limits of all step counts solve the
-    same limit equation.
+    same limit equation.  ``prev = None`` couples against the background
+    ``p * phi_A``, the iteration's start ``w_0``.  The delta shift of the
+    density is :func:`ke_problem`'s, so both routes solve one equation.
     """
     if p < 1:
         raise ConfigurationError(f"step count p must be >= 1, got {p}")
@@ -244,9 +247,10 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
     background = fs_weight(p * d_bg, grid)
     twist_used = mollify_weight(twist_raw, eps) if eps > 0 else twist_raw
     total = float(D.total)
-    slot = (twist_used - fs_weight(total, grid)).shifted(-math.log(p))
+    slot = (twist_used - fs_weight(total + delta, grid)).shifted(-math.log(p))
     return MAProblem(background, slot, D, eps=eps, delta=delta,
-                     coupling=(p - 1) / p, prev=prev,
+                     coupling=(p - 1) / p,
+                     prev=background if prev is None else prev,
                      recipe=Recipe(float(k), twist_raw, int(p)))
 
 

@@ -19,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .geometry import (DivisorData, RadialGrid, RadialWeight, default_grid,
-                       divisor_log_weight, fs_weight, lelong_numbers)
-from .masolver import (POLY_POINTS, MAProblem, SolveReport, _adjoint_degree,
-                       newton_residual, polynomial_start, ricci_problem,
-                       solve_ke_ode)
+from .geometry import (DivisorData, RadialGrid, RadialWeight,
+                       divisor_log_weight, lelong_numbers)
+from .masolver import (POLY_POINTS, MAProblem, SolveReport, newton_residual,
+                       polynomial_start, ricci_problem, solve_ke_ode)
 
 RATIO_SLACK = 1e-3
 DEFAULT_STOP = 1e-10
@@ -79,13 +78,9 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
                   grid: RadialGrid | None = None, *, eps: float = 0.0,
                   delta: float = 0.0,
                   twist: RadialWeight | None = None) -> RicciState:
-    """m = 0 state with ``w_0 = p * phi_A`` exactly and the chain's one
-    :func:`ricci_problem`, coupled against it."""
-    if p < 1:
-        raise ConfigurationError(f"step count p must be >= 1, got {p}")
-    grid = grid or default_grid()
-    w0 = fs_weight(p * _adjoint_degree(k, divisor or DivisorData(), delta), grid)
-    return RicciState(0, ricci_problem(k, divisor, p, w0, grid, eps=eps,
+    """m = 0 state: the chain's one :func:`ricci_problem`, coupled against
+    its own background ``w_0 = p * phi_A``."""
+    return RicciState(0, ricci_problem(k, divisor, p, grid=grid, eps=eps,
                                        delta=delta, twist=twist))
 
 

@@ -366,6 +366,18 @@ def test_bergman_summary_reports_decay_order(tmp_path):
     assert np.isfinite(conv["decay_order"]) and conv["decay_order"] > 0
 
 
+@pytest.mark.parametrize("args", [["--ell-max", "2"], ["--ell-max", "30", "--eps", "0.05"]],
+                         ids=["two-levels", "eps"])
+def test_bergman_reports_no_unchecked_convergence(tmp_path, args):
+    # the convergence certificate needs 3 levels of an eps = 0 chain
+    out = tmp_path / "berg"
+    assert run_cli(["bergman", "--N", "257", "--out", str(out)] + args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "distance_decreasing" not in manifest["verdicts"]
+    assert all(manifest["verdicts"].values())
+    assert json.loads((out / "summary.json").read_text())["convergence"] == {}
+
+
 def test_plotdata_from_ricci_trace(tmp_path):
     out = tmp_path / "ricci"
     assert run_cli(["ricci", "--out", str(out), "--p", "2", "--N", "512"]) == 0

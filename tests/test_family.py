@@ -247,11 +247,27 @@ def test_hessian_certificate_matches_reference_bitwise(name):
 
 
 def test_positivity_needs_three_base_nodes():
-    f = fam.build_family(fam.product_family_recipe(4.0), np.array([0.0, 1.0]),
-                         GRID_257)
-    rel = fam.solve_fiberwise(f)
     with pytest.raises(ConfigurationError):
-        fam.base_positivity_check(rel)
+        fam.build_family(fam.product_family_recipe(4.0), np.array([0.0, 1.0]),
+                         GRID_257)
+
+
+def test_refined_base_is_refused():
+    # the (s, s) stencil on a base that halves its step at s = 0 reads a
+    # curvature that is not there: built anyway, this positive family fails
+    # both certificates
+    refined = np.r_[np.linspace(-2.0, 0.0, 5)[:-1], np.linspace(0.0, 2.0, 9)]
+    with pytest.raises(ConfigurationError, match="uniform"):
+        fam.build_family(fam.perturbed_family_recipe(4.0, 0.05), refined,
+                         geo.make_grid(30.0, 513))
+
+
+@pytest.mark.parametrize("base", [np.linspace(2.0, -2.0, 9),
+                                  np.array([[0.0, 1.0, 2.0]])],
+                         ids=["decreasing", "2-d"])
+def test_malformed_base_is_refused(base):
+    with pytest.raises(ConfigurationError):
+        fam.build_family(fam.product_family_recipe(4.0), base, GRID_257)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,6 @@ def test_ns_convexity_rejects_bad_exponents(product):
 
 
 def test_ns_convexity_needs_three_fibers():
-    f = fam.build_family(fam.product_family_recipe(4.0), np.array([0.0]),
-                         GRID_257)
     with pytest.raises(ConfigurationError):
-        fam.ns_convexity_check(1, 1, f)
+        fam.build_family(fam.product_family_recipe(4.0), np.array([0.0]),
+                         GRID_257)

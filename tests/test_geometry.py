@@ -269,6 +269,16 @@ def test_divisor_klt_flag():
         geo.divisor(zero=Fraction(-1, 2))
 
 
+def test_divisor_is_its_two_coefficients():
+    assert geo.divisor(zero="0") == geo.DivisorData()
+    assert geo.divisor(zero="0").terms == ()
+    assert geo.divisor(zero="1/2").terms == (("zero", Fraction(1, 2)),)
+    D = geo.divisor(zero=0.25, infinity="1/3")
+    assert D.terms == (("zero", Fraction(1, 4)), ("infinity", Fraction(1, 3)))
+    assert (D.coefficient("zero"), D.coefficient("infinity")) == (D.zero, D.infinity)
+    assert D.total == Fraction(7, 12)
+
+
 def test_divisor_log_weight_bookkeeping(grid):
     D = geo.divisor(zero=Fraction(1, 2), infinity=Fraction(1, 4))
     w = geo.divisor_log_weight(D, grid)

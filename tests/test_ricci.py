@@ -24,6 +24,21 @@ def test_initial_state_is_scaled_background(grid):
     assert st.m == 0
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_initial_state_starts_from_its_background(grid, p):
+    st = ricci.initial_state(4.0, geo.divisor(zero="1/2"), p, grid)
+    assert st.weight is st.problem.background
+
+
+@pytest.mark.parametrize("D", [None, geo.divisor(zero="1/2")], ids=["smooth", "conic"])
+def test_regularized_iteration_matches_direct_solve(D):
+    # the p-step class and density move with delta as the direct solve's do
+    grid = geo.make_grid(30.0, 1024)
+    state, _ = ricci.run_ricci(4.0, D, 2, grid=grid, delta=0.1)
+    ke = ma.solve_ke_ode(ma.ke_problem(4.0, D, grid, delta=0.1))
+    assert ricci.compare_to_ke(state, ke)["sup_distance"] <= 1e-9
+
+
 def test_single_step_p1_equals_direct_solve(grid):
     st = ricci.ricci_step(ricci.initial_state(4.0, None, 1, grid))
     ke = ma.solve_ke_ode(ma.ke_problem(4.0, grid=grid))
