@@ -70,7 +70,7 @@ KINDS = ("solve", "ricci", "bergman", "family", "suite")
 
 # smallest admissible value of each bounded key
 LOWER_BOUNDS = {"N": 3, "eps": 0.0, "delta": 0.0, "p": 1, "m_max": 2, "m": 1,
-                "ell_max": 1, "base_count": 3, "fiber_n": 3}
+                "ell_max": 1, "fiber_n": 3}
 
 
 def keys_of(kind: str) -> list[str]:
@@ -198,8 +198,6 @@ def validate_config(cfg: dict) -> None:
                                     delta=delta)
         if cfg["kind"] == "bergman":
             bergman.section_range(1, cfg["p"], cfg["k"], D)
-            if cfg["p"] == 1 and cfg["eps"] == 0:  # the route-agreement solve
-                ke_problem(cfg["k"], D, grid)
 
 
 def _divisor_from(cfg: dict) -> DivisorData:
@@ -225,7 +223,8 @@ def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
 
 
 def _family_from(cfg: dict) -> family_mod.FiberFamily:
-    base = np.linspace(cfg["base_min"], cfg["base_max"], cfg["base_count"])
+    # a negative count is an empty base, which build_family refuses
+    base = np.linspace(cfg["base_min"], cfg["base_max"], max(cfg["base_count"], 0))
     return family_mod.build_family(_recipe_from(cfg), base,
                                    make_grid(cfg["T"], cfg["fiber_n"]))
 

@@ -128,21 +128,10 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
     """
     if U.shape[0] < 3 or U.shape[1] < 3:
         raise ConfigurationError("hessian check needs at least 3 nodes per axis")
-    # the stencils evaluated in place, in the order of
-    # (U[:-2] - 2 U + U[2:]) / h**2 and tt * ss - ts * ts
-    two_u = 2.0 * U[1:-1, 1:-1]
-    tt = U[:-2, 1:-1] - two_u
-    tt += U[2:, 1:-1]
-    tt /= ht**2
-    ss = U[1:-1, :-2] - two_u
-    ss += U[1:-1, 2:]
-    ss /= hs**2
-    ts = U[2:, 2:] - U[2:, :-2]
-    ts -= U[:-2, 2:]
-    ts += U[:-2, :-2]
-    ts /= 4.0 * ht * hs
-    det = tt * ss
-    det -= np.multiply(ts, ts, out=two_u)
+    tt = (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / ht**2
+    ss = (U[1:-1, :-2] - 2.0 * U[1:-1, 1:-1] + U[1:-1, 2:]) / hs**2
+    ts = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * ht * hs)
+    det = tt * ss - ts * ts
 
     i_tt = np.unravel_index(int(np.argmin(tt)), tt.shape)
     i_det = np.unravel_index(int(np.argmin(det)), det.shape)
@@ -157,8 +146,8 @@ def hessian_certificate(U: np.ndarray, ht: float, hs: float,
         "passed": bool(tt_ok and det_ok),
         "min_tt": min_tt,
         "min_det": min_det,
-        "max_abs_mixed": float(np.max(np.abs(ts, out=ts))),
-        "max_abs_ss": float(np.max(np.abs(ss, out=ss))),
+        "max_abs_mixed": float(np.max(np.abs(ts))),
+        "max_abs_ss": float(np.max(np.abs(ss))),
         "tt_location": None if tt_ok else (int(i_tt[0]) + 1, int(i_tt[1]) + 1),
         "det_location": None if det_ok else (int(i_det[0]) + 1, int(i_det[1]) + 1),
         "tol": tol,

@@ -15,6 +15,9 @@ at ``eps = delta = 0`` the normal form is exactly the geometric equation:
 * ``ricci_problem`` solves one step of the p-step iteration for the smooth
   weight on the rescaled semiample class, with the divisor in the density.
 
+A problem built with ``prev = None`` couples against its own background, so
+the uncoupled ``ke_problem`` is the coupled equation at ``c = 0``.
+
 A ``ke_problem`` is rebuilt at other (delta, eps) by
 :meth:`MAProblem.with_regularization` and with another twist by
 :meth:`MAProblem.with_twist`.  The latter assembles only the twist slot and
@@ -88,7 +91,9 @@ class MAProblem:
     coarse for the background fails before any solve and a ``replace`` that
     keeps the background does not check it again.  ``twist`` is the
     assembled twist slot, including any frame logs the constructor moved
-    into it.  ``coupling``/``prev`` add the optional ``- c * u_prev`` term.
+    into it.  ``coupling``/``prev`` add the ``- c * u_prev`` term; ``prev =
+    None`` stands for the background itself, so an uncoupled problem is the
+    coupled one at ``coupling = 0``, where that term adds a signed zero.
     """
 
     background: RadialWeight
@@ -104,10 +109,12 @@ class MAProblem:
     def __post_init__(self):
         if not (0.0 <= self.coupling < 1.0):
             raise ConfigurationError(f"coupling must lie in [0, 1), got {self.coupling}")
-        if self.eps < 0 or self.delta < 0:
-            raise ConfigurationError("regularization parameters must be >= 0")
-        if self.coupling > 0 and self.prev is None:
-            raise ConfigurationError("coupled problem needs a previous iterate")
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if self.prev is None:
+            object.__setattr__(self, "prev", self.background)
         self._slope_check()
         object.__setattr__(self, "mass", self.background.mass)
 
@@ -126,10 +133,10 @@ class MAProblem:
         integrable right side."""
         f_minus, f_plus = self._frame_end_slopes()
         c = self.coupling
-        p_minus = c * self.prev.slope_minus if self.prev is not None else 0.0
-        p_plus = c * self.prev.slope_plus if self.prev is not None else 0.0
-        lo = f_minus + self.background.slope_minus - self.twist.slope_minus - p_minus + 1.0
-        hi = f_plus + self.background.slope_plus - self.twist.slope_plus - p_plus + 1.0
+        lo = (f_minus + self.background.slope_minus - self.twist.slope_minus
+              - c * self.prev.slope_minus + 1.0)
+        hi = (f_plus + self.background.slope_plus - self.twist.slope_plus
+              - c * self.prev.slope_plus + 1.0)
         if lo <= 0:
             raise ConfigurationError(
                 f"density exponent slope {lo} at t -> -inf is not integrable")
@@ -141,12 +148,10 @@ class MAProblem:
         """Log of the fixed measure; the solved density is this plus the
         bounded potential."""
         t = self.grid.nodes
-        out = (math.log(2.0 * math.pi)
-               + divisor_frame_log(self.divisor, self.grid, self.eps)
-               + self.background.values - self.twist.values + t)
-        if self.prev is not None:
-            out = out - self.coupling * self.prev.values
-        return out
+        return (math.log(2.0 * math.pi)
+                + divisor_frame_log(self.divisor, self.grid, self.eps)
+                + self.background.values - self.twist.values + t
+                - self.coupling * self.prev.values)
 
     def _ke_recipe(self, action: str) -> Recipe:
         r = self.recipe
@@ -175,6 +180,8 @@ class MAProblem:
 
 
 def _adjoint_degree(k: float, D: DivisorData, delta: float) -> float:
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ConfigurationError(f"delta must be finite and >= 0, got {delta}")
     d_a = k - 2.0 - float(D.total)
     if d_a <= 0:
         raise ConfigurationError(
@@ -249,8 +256,7 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
     total = float(D.total)
     slot = (twist_used - fs_weight(total + delta, grid)).shifted(-math.log(p))
     return MAProblem(background, slot, D, eps=eps, delta=delta,
-                     coupling=(p - 1) / p,
-                     prev=background if prev is None else prev,
+                     coupling=(p - 1) / p, prev=prev,
                      recipe=Recipe(float(k), twist_raw, int(p)))
 
 

@@ -123,6 +123,7 @@ def test_empty_base_range_is_config_error(tmp_path, capsys, lo, hi):
     ["bergman", "--k", "2.5", "--divisor-zero", "1/2"],
     ["bergman", "--k", "4.5"],
     ["family", "--amplitude", "-0.05"],
+    ["family", "--base-count", "-1"],
 ])
 def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
     # the library's own checks on recipes, adjoint degrees and section

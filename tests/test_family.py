@@ -97,10 +97,12 @@ def test_large_cauchy_bump_rejected():
                          BASE_9, GRID_257)
 
 
-def test_small_fs_bump_accepted():
-    f = fam.build_family(fam.perturbed_family_recipe(4.0, 0.05, "fs_bump"),
+@pytest.mark.parametrize("bump", sorted(fam.BUMPS))
+def test_small_bump_accepted(bump):
+    f = fam.build_family(fam.perturbed_family_recipe(4.0, 0.05, bump),
                          BASE_9, GRID_257)
     assert f.joint_positive
+    assert fam.base_positivity_check(fam.solve_fiberwise(f))["passed"]
 
 
 def test_unknown_recipe_and_bump_rejected():

@@ -124,6 +124,29 @@ def test_adjoint_degree_guard(grid):
         ma.ke_problem(3.0, grid=grid, delta=1.5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda **kw: ma.ke_problem(4.0, None, geo.make_grid(30.0, 257), **kw),
+    lambda **kw: ma.ricci_problem(4.0, None, 2, grid=geo.make_grid(30.0, 257), **kw),
+], ids=["ke_problem", "ricci_problem"])
+@pytest.mark.parametrize("name", ["eps", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), -0.1])
+def test_bad_regularization_parameter_refused_where_built(build, name, value):
+    # refused by the constructor under its own name, not later by a solve
+    with pytest.raises(ConfigurationError, match=f"^{name} must be finite and >= 0"):
+        build(**{name: value})
+
+
+def test_uncoupled_problem_is_coupled_against_its_background():
+    grid = geo.make_grid(30.0, 257)
+    prob = ma.ke_problem(4.0, geo.divisor(zero="1/2"), grid)
+    assert prob.prev is prob.background
+    # a hand-built coupled problem without prev couples against its background
+    hand = ma.MAProblem(geo.fs_weight(2.0, grid), geo.fs_weight(4.0, grid),
+                        geo.DivisorData(), coupling=0.5)
+    assert hand.prev is hand.background
+    assert ma.solve_ke_ode(hand).residual <= 1e-10
+
+
 def test_newton_reports_divergence(grid, monkeypatch):
     prob = ma.ke_problem(4.0, grid=grid)
     monkeypatch.setattr(ma, "MAX_NEWTON_ITER", 2)

@@ -121,12 +121,17 @@ def test_compare_to_ke_conic_lelong_difference(grid):
 
 def test_compare_to_ke_rejects_mismatched_configs(grid, smooth_run):
     state, _ = smooth_run
-    ke_conic = ma.solve_ke_ode(ma.ke_problem(4.0, geo.divisor(zero="1/2"), grid))
-    with pytest.raises(ConfigurationError):
-        ricci.compare_to_ke(state, ke_conic)
-    ke_k5 = ma.solve_ke_ode(ma.ke_problem(5.0, grid=grid))
-    with pytest.raises(ConfigurationError):
-        ricci.compare_to_ke(state, ke_k5)
+    targets = [
+        (ma.ke_problem(4.0, geo.divisor(zero="1/2"), grid), "divisors differ"),
+        (ma.ke_problem(5.0, grid=grid), "twist degrees differ"),
+        (ma.ricci_problem(4.0, None, 2, grid=grid), "must come from ke_problem"),
+        (ma.ke_problem(4.0, grid=geo.make_grid(30.0, 513)), "grids differ"),
+        (ma.ke_problem(4.0, grid=grid, eps=0.05, delta=0.1),
+         "regularization parameters differ"),
+    ]
+    for prob, message in targets:
+        with pytest.raises(ConfigurationError, match=message):
+            ricci.compare_to_ke(state, ma.solve_ke_ode(prob))
 
 
 def test_route_independence_across_p(grid):
