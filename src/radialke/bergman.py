@@ -13,7 +13,9 @@ log-kernel profile
 The recursion feeds ``kappa_l`` back into the next level's inner product
 together with the fixed chain weight ``tau``; renormalized profiles
 ``(kappa_l - log l!) / l`` converge to the step weight plus the rescaled
-canonical divisor weight.  Everything is kept in log scale; Gram norms span
+canonical divisor weight.  Chains run on the singular weights only, the
+divisor entering through its point masses; regularization belongs to the
+direct and p-step solves.  Everything is kept in log scale; Gram norms span
 hundreds of orders of magnitude by level 200.
 
 Quadrature runs on a widened copy of the working grid so that every Gram
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight,
-                       divisor_eps_weight, divisor_frame_log, readonly_array)
+                       divisor_frame_log, divisor_log_weight, readonly_array)
 from .kernels import (BlockLayout, affine_lse_profile, affine_lse_quadrature,
                       block_layout, logsumexp)
 from .masolver import ke_problem, solve_ke_ode
@@ -120,21 +122,21 @@ def frac_frame_log(level: int, chain: "WeightChain") -> np.ndarray:
 @dataclass(frozen=True)
 class WeightChain:
     """Fixed data of one kernel recursion: the inner-product weight ``tau``
-    built from the previous iteration step and the convergence target, both
-    on the chain's grid, and the degree ``p (k - 2)`` each level adds."""
+    built from the previous singular iteration step and the convergence
+    target, both on the chain's grid, the degree ``p (k - 2)`` each level
+    adds, and at ``p = 1`` the target's sup distance to a direct solve
+    (NaN otherwise)."""
 
     p: int
     divisor: DivisorData
     tau: RadialWeight
     target: RadialWeight
     step_degree: int
-    eps: float = 0.0
-    route_agreement: float = float("nan")
+    route_agreement: float
 
 
 def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
                 m: int = 1, grid: RadialGrid | None = None, *,
-                eps: float = 0.0,
                 twist: RadialWeight | None = None) -> WeightChain:
     """Assemble the level-recursion weights for outer step ``m``.
 
@@ -146,7 +148,7 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     if m < 1:
         raise ConfigurationError(f"outer index m must be >= 1, got {m}")
     step_degree = _step_degree(p, k)
-    state = ricci_mod.initial_state(k, D, p, grid, eps=eps, twist=twist)
+    state = ricci_mod.initial_state(k, D, p, grid, twist=twist)
     for _ in range(m - 1):
         state = ricci_mod.ricci_step(state)
     w_prev = state.weight
@@ -154,17 +156,16 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
     w_m = state.weight
 
     D, grid = state.problem.divisor, state.problem.grid
-    div_weight = divisor_eps_weight(D, grid, eps)
+    div_weight = divisor_log_weight(D, grid)
     tau = (w_prev.scaled((p - 1) / p) + div_weight.scaled(float(p - 1))
            + state.problem.recipe.twist).shifted(-math.log(p))
     target = w_m + div_weight.scaled(float(p))
 
     route = float("nan")
-    if p == 1 and eps == 0:
+    if p == 1:
         ke = solve_ke_ode(ke_problem(k, D, grid, twist=twist))
         route = float(np.max(np.abs(target.values - ke.solution.values)))
-    return WeightChain(int(p), D, tau, target, step_degree, eps=eps,
-                       route_agreement=route)
+    return WeightChain(int(p), D, tau, target, step_degree, route)
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +354,21 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         log_i = logsumexp(lv.kappa.values / ell - chain_w.tau.values + t
                           + math.log(2.0 * math.pi) + logw)
         run.chain_log_integrals.append(log_i)
-        if chain_w.eps == 0:
-            ref = ell * target + frac_frame_log(ell, chain_w)
-            run.c_ells.append(c_ell_diagnostic(lv, ref))
-        else:
-            run.c_ells.append(float("nan"))
+        ref = ell * target + frac_frame_log(ell, chain_w)
+        run.c_ells.append(c_ell_diagnostic(lv, ref))
         prev = lv
     return run
 
 
 def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
-    """Decay certificate for a finished run.
+    """Decay certificate for a finished run of the singular chain.
 
     Requires at least three levels; reports the final distance, whether the
     distance trace decreases monotonically from ``monotone_from`` on, the
     one-sided slack trend below the target, and ``decay_order``: the
     least-squares slope of ``-log(distance)`` against ``log(level)`` over the
-    same tail (NaN with fewer than three points there).  Only the eps = 0
-    chain is a convergence statement: at finite eps the floored reference and
-    the vanishing-constrained sections carry different divisor slopes by
-    design, so those runs support the gap machinery only.
+    same tail (NaN with fewer than three points there).
     """
-    if run.chain.eps != 0:
-        raise ConfigurationError("convergence certification requires an eps = 0 "
-                                 "chain; finite-eps chains back the reference-gap "
-                                 "machinery only")
     if len(run.levels) < 3:
         raise ConfigurationError("convergence check needs at least three levels")
     d = np.array(run.distances)

@@ -46,7 +46,7 @@ CONFIG_KEYS = {
     "k": ("solve ricci bergman family", float, 4.0),
     "divisor_zero": ("solve ricci bergman", str, "0"),
     "divisor_infinity": ("solve ricci bergman", str, "0"),
-    "eps": ("solve ricci bergman", float, 0.0),
+    "eps": ("solve ricci", float, 0.0),
     "delta": ("solve ricci", float, 0.0),
     "delta_schedule": ("solve", list, None),
     "eps_schedule": ("solve", list, None),
@@ -194,8 +194,8 @@ def validate_config(cfg: dict) -> None:
         if cfg["kind"] == "solve":
             ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=delta)
         else:  # the p-step iteration's first step
-            ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid, eps=cfg["eps"],
-                                    delta=delta)
+            ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid,
+                                    eps=cfg.get("eps", 0.0), delta=delta)
         if cfg["kind"] == "bergman":
             bergman.section_range(1, cfg["p"], cfg["k"], D)
 
@@ -307,8 +307,7 @@ def _run_ricci(cfg: dict, out: str) -> dict:
 def _run_bergman(cfg: dict, out: str) -> dict:
     grid = _grid_from(cfg)
     D = _divisor_from(cfg)
-    chain = bergman.build_chain(cfg["k"], D, p=cfg["p"], m=cfg["m"], grid=grid,
-                                eps=cfg["eps"])
+    chain = bergman.build_chain(cfg["k"], D, p=cfg["p"], m=cfg["m"], grid=grid)
     run = bergman.run_levels(chain, cfg["ell_max"])
     slacks = run.chain_slacks()
     rows = [(lv.level, lv.basis.n_sections, float(np.min(lv.log_gram)),
@@ -317,8 +316,7 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     write_csv(os.path.join(out, "trace.csv"),
               ["ell", "n_sections", "log_gram_min", "log_gram_max",
                "sup_distance", "chain_slack", "c_ell"], rows)
-    conv = (bergman.convergence_check(run)
-            if len(run.levels) >= 3 and chain.eps == 0 else {})
+    conv = bergman.convergence_check(run) if len(run.levels) >= 3 else {}
     chain_cert = bergman.integral_chain_check(run)
     verdicts = {"chain_inequality": chain_cert["holds"]}
     if conv:

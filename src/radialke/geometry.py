@@ -402,16 +402,3 @@ def divisor_log_weight(D: DivisorData, grid: RadialGrid) -> RadialWeight:
     return RadialWeight(grid, a0 * grid.nodes, a0, a0, float(D.total),
                         np.zeros(grid.node_count))
 
-
-def divisor_eps_weight(D: DivisorData, grid: RadialGrid, eps: float) -> RadialWeight:
-    """Smoothed divisor weight ``sum_i a_i (log(|s_i|^2 + eps^2) + u_FS)``.
-
-    For eps > 0 the frame floor removes the point masses (slopes (0, total));
-    as eps -> 0 the profile decreases to the canonical monomial weight.  Used
-    by the regularized kernel references.
-    """
-    if eps == 0:
-        return divisor_log_weight(D, grid)
-    vals = divisor_frame_log(D, grid, eps) + float(D.total) * grid.fs_profile
-    total = float(D.total)
-    return RadialWeight(grid, vals, 0.0, total, total)

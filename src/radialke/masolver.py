@@ -109,10 +109,7 @@ class MAProblem:
     def __post_init__(self):
         if not (0.0 <= self.coupling < 1.0):
             raise ConfigurationError(f"coupling must lie in [0, 1), got {self.coupling}")
-        for name in ("eps", "delta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        _regularization_check(self.eps, self.delta)
         if self.prev is None:
             object.__setattr__(self, "prev", self.background)
         self._slope_check()
@@ -179,9 +176,15 @@ class MAProblem:
                          delta=self.delta, recipe=Recipe(r.k, twist))
 
 
+def _regularization_check(eps: float, delta: float) -> None:
+    """Refuse ``eps`` or ``delta`` under its own name unless finite and >= 0;
+    constructors run it before anything is mollified."""
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _adjoint_degree(k: float, D: DivisorData, delta: float) -> float:
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ConfigurationError(f"delta must be finite and >= 0, got {delta}")
     d_a = k - 2.0 - float(D.total)
     if d_a <= 0:
         raise ConfigurationError(
@@ -203,6 +206,7 @@ def ke_problem(k: float, D: DivisorData | None = None,
     the smooth part toward the auxiliary ample class; ``eps > 0`` floors the
     divisor frames and mollifies the twist at the same scale.
     """
+    _regularization_check(eps, delta)
     D = D or DivisorData()
     grid = grid or default_grid()
     d_bg = _adjoint_degree(k, D, delta)
@@ -246,6 +250,7 @@ def ricci_problem(k: float, D: DivisorData | None, p: int,
     """
     if p < 1:
         raise ConfigurationError(f"step count p must be >= 1, got {p}")
+    _regularization_check(eps, delta)
     D = D or DivisorData()
     grid = grid or default_grid()
     d_bg = _adjoint_degree(k, D, delta)

@@ -35,3 +35,8 @@ def test_family_criteria_share_their_families(monkeypatch, ids, builds):
     results = suite.run_criteria(ids)
     assert [r.cid for r in results] == ids and all(r.passed for r in results)
     assert len(calls) == builds
+
+
+def test_unknown_criterion_refused():
+    with pytest.raises(ValueError, match="unknown criteria: \\[99\\]"):
+        suite.run_criteria([99])

@@ -51,6 +51,19 @@ def test_section_range_rejects_fractional_degree():
         bergman.section_range(1, 1, 4.5)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda chain: bergman.section_range(0, 1, 4.0), "level must be >= 1"),
+    (lambda chain: bergman.section_range(
+        1, 1, 3.0, geo.divisor(zero="9/20", infinity="9/20")),
+     r"empty section space at level 1: window \[1, 0\]"),
+    (lambda chain: bergman.build_chain(4.0, m=0), "outer index m must be >= 1"),
+    (lambda chain: bergman.run_levels(chain, 0), "ell_max must be >= 1"),
+], ids=["level-0", "empty-window", "m-0", "ell-max-0"])
+def test_out_of_range_input_refused(smooth_chain, build, match):
+    with pytest.raises(ConfigurationError, match=match):
+        build(smooth_chain)
+
+
 def test_section_count_formula(smooth_run):
     counts = np.array(smooth_run.n_sections)
     ells = np.arange(1, counts.size + 1)
@@ -269,18 +282,6 @@ def test_kernel_levels_jointly_convex_over_family():
         U = np.column_stack([r.levels[ell].kappa.values for r in runs])
         cert = fam.hessian_certificate(U, ht, hs, tol=1e-8)
         assert cert["passed"], (ell, cert["min_tt"], cert["min_det"])
-
-
-def test_eps_chain_supports_gap_machinery_only(grid):
-    # the floored weights keep the Grams and the chain inequality exact, but
-    # finite-eps runs are not convergence statements and say so
-    chain = bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=2, m=1,
-                                grid=grid, eps=0.05)
-    run = bergman.run_levels(chain, 8)
-    assert bergman.integral_chain_check(run)["holds"]
-    assert all(np.isnan(c) for c in run.c_ells)
-    with pytest.raises(ConfigurationError, match="eps = 0"):
-        bergman.convergence_check(run)
 
 
 def test_build_chain_m2_target_consistency(grid):

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -124,6 +126,7 @@ def test_empty_base_range_is_config_error(tmp_path, capsys, lo, hi):
     ["bergman", "--k", "4.5"],
     ["family", "--amplitude", "-0.05"],
     ["family", "--base-count", "-1"],
+    ["bergman", "--k", "3", "--divisor-zero", "9/20", "--divisor-infinity", "9/20"],
 ])
 def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
     # the library's own checks on recipes, adjoint degrees and section
@@ -227,8 +230,15 @@ def test_unread_key_is_refused_from_file_and_flag(tmp_path, capsys):
     out = tmp_path / "x"
     assert run_cli(["family", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
+    # the kernel recursion runs on the singular chain only
+    cfg.write_text(json.dumps({"eps": 0.05}))
+    assert run_cli(["bergman", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
     with pytest.raises(SystemExit) as exc:
         run_cli(["bergman", "--tol", "1e-3", "--out", str(out)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bergman", "--eps", "0.05", "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 
@@ -287,7 +297,20 @@ def test_every_config_key_is_a_flag_of_its_kinds():
         for key in keys_of(kind)[1:]:
             args = parser.parse_args([kind, "--" + key.replace("_", "-"), "1"])
             assert vars(args)[key] is not None
-    assert sum(len(keys_of(kind)) - 1 for kind in KINDS) == 47
+    assert sum(len(keys_of(kind)) - 1 for kind in KINDS) == 46
+
+
+def test_readme_command_lines_parse():
+    # every `radialke ...` line of README's code blocks is a valid command
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as f:
+        blocks = re.findall(r"^```\n(.*?)^```", f.read(), re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("radialke ")]
+    assert len(lines) == 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_cli_import_stays_numpy_only():
@@ -367,10 +390,9 @@ def test_bergman_summary_reports_decay_order(tmp_path):
     assert np.isfinite(conv["decay_order"]) and conv["decay_order"] > 0
 
 
-@pytest.mark.parametrize("args", [["--ell-max", "2"], ["--ell-max", "30", "--eps", "0.05"]],
-                         ids=["two-levels", "eps"])
+@pytest.mark.parametrize("args", [["--ell-max", "2"]], ids=["two-levels"])
 def test_bergman_reports_no_unchecked_convergence(tmp_path, args):
-    # the convergence certificate needs 3 levels of an eps = 0 chain
+    # the convergence certificate needs 3 levels
     out = tmp_path / "berg"
     assert run_cli(["bergman", "--N", "257", "--out", str(out)] + args) == 0
     manifest = json.loads((out / "manifest.json").read_text())

@@ -248,6 +248,12 @@ def test_hessian_certificate_matches_reference_bitwise(name):
                 bits(reference_certificate(U, ht, hs, tol))
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2)])
+def test_hessian_certificate_needs_three_nodes_per_axis(shape):
+    with pytest.raises(ConfigurationError, match="3 nodes per axis"):
+        fam.hessian_certificate(np.zeros(shape), 1.0, 1.0)
+
+
 def test_positivity_needs_three_base_nodes():
     with pytest.raises(ConfigurationError):
         fam.build_family(fam.product_family_recipe(4.0), np.array([0.0, 1.0]),

@@ -286,15 +286,6 @@ def test_divisor_log_weight_bookkeeping(grid):
     assert geo.weight_mass(w) == pytest.approx(0.0)
 
 
-def test_divisor_eps_weight_decreases_to_canonical(grid):
-    D = geo.divisor(zero=Fraction(1, 2))
-    w0 = geo.divisor_log_weight(D, grid)
-    w1 = geo.divisor_eps_weight(D, grid, 1e-3)
-    w2 = geo.divisor_eps_weight(D, grid, 1e-1)
-    assert np.all(w2.values >= w1.values - 1e-12)
-    assert np.all(w1.values >= w0.values - 1e-12)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

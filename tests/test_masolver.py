@@ -129,11 +129,27 @@ def test_adjoint_degree_guard(grid):
     lambda **kw: ma.ricci_problem(4.0, None, 2, grid=geo.make_grid(30.0, 257), **kw),
 ], ids=["ke_problem", "ricci_problem"])
 @pytest.mark.parametrize("name", ["eps", "delta"])
-@pytest.mark.parametrize("value", [float("nan"), -0.1])
+@pytest.mark.parametrize("value", [float("nan"), -0.1, float("inf")])
 def test_bad_regularization_parameter_refused_where_built(build, name, value):
     # refused by the constructor under its own name, not later by a solve
     with pytest.raises(ConfigurationError, match=f"^{name} must be finite and >= 0"):
         build(**{name: value})
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda g: replace(ma.ke_problem(4.0, None, g), coupling=1.0),
+     r"coupling must lie in \[0, 1\)"),
+    (lambda g: ma.ricci_problem(4.0, None, 0, grid=g), "step count p must be >= 1"),
+    (lambda g: ma.solve_ke_ode(ma.ke_problem(4.0, None, g), tol=0.0),
+     "tolerance must be positive"),
+    # a degree-4 twist of slope 2 at t -> -inf outgrows the density there
+    (lambda g: ma.ke_problem(4.0, None, g, twist=geo.fs_weight(2.0, g)
+                             + geo.divisor_log_weight(geo.divisor(zero=2), g)),
+     "t -> -inf is not integrable"),
+], ids=["coupling-1", "p-0", "tol-0", "twist-slope-2"])
+def test_input_outside_theory_refused(build, match):
+    with pytest.raises(ConfigurationError, match=match):
+        build(geo.make_grid(30.0, 257))
 
 
 def test_uncoupled_problem_is_coupled_against_its_background():
