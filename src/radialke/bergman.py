@@ -267,10 +267,13 @@ def c_ell_diagnostic(level: BergmanLevel, reference: np.ndarray) -> float:
 
 @dataclass
 class BergmanRun:
-    """Per-level traces of a kernel recursion on the widened chain."""
+    """Per-level numbers of a kernel recursion on the widened chain, not its
+    levels: stepping :func:`bergman_step` on ``chain`` reproduces any level.
+    ``log_gram_ranges`` holds each level's (min, max) log Gram norm."""
 
     chain: WeightChain
-    levels: list[BergmanLevel] = field(default_factory=list)
+    n_sections: list[int] = field(default_factory=list)
+    log_gram_ranges: list[tuple[float, float]] = field(default_factory=list)
     distances: list[float] = field(default_factory=list)
     liminf_slacks: list[float] = field(default_factory=list)
     chain_log_integrals: list[float] = field(default_factory=list)
@@ -281,10 +284,6 @@ class BergmanRun:
     def grid(self) -> RadialGrid:
         """The widened quadrature grid the chain was resampled on."""
         return self.chain.tau.grid
-
-    @property
-    def n_sections(self) -> list[int]:
-        return [lv.basis.n_sections for lv in self.levels]
 
     def chain_slacks(self) -> np.ndarray:
         """Relative overshoot of the integral chain bound, one per level; the
@@ -315,12 +314,12 @@ def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
 
 
 def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
-    """Run the kernel recursion to ``ell_max`` with traces.
+    """Run the kernel recursion to ``ell_max``, holding only the last level.
 
-    Per level: sup distance of the renormalized profile to the target on
-    ``WINDOW``, the one-sided slack below the target, the integral-chain log
-    integral (the bound follows from the section counts) and the reference
-    gap.  The decay guard is verified on the slowest Gram column of every level.
+    Kept per level: section count, log Gram range, sup distance of the
+    renormalized profile to the target on ``WINDOW``, one-sided slack below
+    it, integral-chain log integral (the bound follows from the section
+    counts) and reference gap.  The decay guard is checked on every level.
     """
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
@@ -335,7 +334,9 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     prev = None
     for ell in range(1, ell_max + 1):
         lv = bergman_step(prev, chain_w)
-        run.levels.append(lv)
+        run.n_sections.append(lv.basis.n_sections)
+        run.log_gram_ranges.append((float(np.min(lv.log_gram)),
+                                    float(np.max(lv.log_gram))))
         # decay guard: slowest columns sit at the window ends
         prev_kappa = np.zeros(t.size) if prev is None else prev.kappa.values
         for j in (lv.basis.j_min, lv.basis.j_max):
@@ -369,7 +370,7 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
     least-squares slope of ``-log(distance)`` against ``log(level)`` over the
     same tail (NaN with fewer than three points there).
     """
-    if len(run.levels) < 3:
+    if len(run.distances) < 3:
         raise ConfigurationError("convergence check needs at least three levels")
     d = np.array(run.distances)
     start = min(monotone_from, len(d)) - 1

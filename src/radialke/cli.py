@@ -28,11 +28,11 @@ import numpy as np
 from . import __version__, bergman, family as family_mod, ricci as ricci_mod, suite
 from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import DivisorData, divisor, make_grid
+from .geometry import DEFAULT_N, DEFAULT_T, DivisorData, divisor, make_grid
 from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (CLOSED_FORM_TOL, check_schedule, closed_form_error,
-                       diagonal_pairs, ke_problem, regularized_diagonal,
-                       solve_ke_ode)
+from .masolver import (CLOSED_FORM_TOL, DEFAULT_TOL, check_schedule,
+                       closed_form_error, diagonal_pairs, ke_problem,
+                       regularized_diagonal, solve_ke_ode)
 
 # flat config schema: key -> (kinds whose runs read it, type, default); every
 # key but ``kind`` is also the flag ``--key-with-dashes`` of those kinds
@@ -40,9 +40,9 @@ CONFIG_KEYS = {
     "kind": ("*", str, None),
     "out": ("*", str, "runs/out"),
     "seed": ("suite", int, suite.DEFAULT_SEED),
-    "tol": ("solve ricci", float, 1e-10),
-    "T": ("solve ricci bergman family", float, 30.0),
-    "N": ("solve ricci bergman", int, 4096),
+    "tol": ("solve ricci", float, DEFAULT_TOL),
+    "T": ("solve ricci bergman family", float, DEFAULT_T),
+    "N": ("solve ricci bergman", int, DEFAULT_N),
     "k": ("solve ricci bergman family", float, 4.0),
     "divisor_zero": ("solve ricci bergman", str, "0"),
     "divisor_infinity": ("solve ricci bergman", str, "0"),
@@ -52,17 +52,17 @@ CONFIG_KEYS = {
     "eps_schedule": ("solve", list, None),
     "p": ("ricci bergman", int, 1),
     "m_max": ("ricci", int, 200),
-    "stop_tol": ("ricci", float, 1e-10),
+    "stop_tol": ("ricci", float, ricci_mod.DEFAULT_STOP),
     "m": ("bergman", int, 1),
     "ell_max": ("bergman", int, 200),
     "recipe": ("family", str, "perturbed"),
     "amplitude": ("family", float, 0.05),
     "bump": ("family", str, "fs_bump"),
     "a0": ("family", str, "1/2"),
-    "base_min": ("family", float, -2.0),
-    "base_max": ("family", float, 2.0),
-    "base_count": ("family", int, 41),
-    "fiber_n": ("family", int, 1024),
+    "base_min": ("family", float, family_mod.DEFAULT_BASE[0]),
+    "base_max": ("family", float, family_mod.DEFAULT_BASE[1]),
+    "base_count": ("family", int, family_mod.DEFAULT_BASE[2]),
+    "fiber_n": ("family", int, family_mod.DEFAULT_FIBER_N),
     "criteria": ("suite", list, None),
 }
 
@@ -310,13 +310,13 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     chain = bergman.build_chain(cfg["k"], D, p=cfg["p"], m=cfg["m"], grid=grid)
     run = bergman.run_levels(chain, cfg["ell_max"])
     slacks = run.chain_slacks()
-    rows = [(lv.level, lv.basis.n_sections, float(np.min(lv.log_gram)),
-             float(np.max(lv.log_gram)), run.distances[i], float(slacks[i]),
-             run.c_ells[i]) for i, lv in enumerate(run.levels)]
+    lows, highs = zip(*run.log_gram_ranges)
+    rows = zip(range(1, len(lows) + 1), run.n_sections, lows, highs,
+               run.distances, slacks.tolist(), run.c_ells)
     write_csv(os.path.join(out, "trace.csv"),
               ["ell", "n_sections", "log_gram_min", "log_gram_max",
                "sup_distance", "chain_slack", "c_ell"], rows)
-    conv = bergman.convergence_check(run) if len(run.levels) >= 3 else {}
+    conv = bergman.convergence_check(run) if len(run.distances) >= 3 else {}
     chain_cert = bergman.integral_chain_check(run)
     verdicts = {"chain_inequality": chain_cert["holds"]}
     if conv:

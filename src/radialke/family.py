@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import (DivisorData, RadialGrid, RadialWeight, fs_weight,
-                       make_grid, readonly_array)
+from .geometry import (DEFAULT_T, DivisorData, RadialGrid, RadialWeight,
+                       fs_weight, make_grid, readonly_array)
 from .kernels import logsumexp
 from .masolver import SolveReport, ke_problem, polynomial_start, solve_ke_ode
 
@@ -222,7 +222,7 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     drift = np.max(np.abs(base - (base[0] + step * np.arange(base.size))))
     if not (step > 0 and drift <= 1e-12 * max(1.0, float(np.max(np.abs(base))))):
         raise ConfigurationError("family base nodes must be uniform and increasing")
-    grid = fiber_grid or make_grid(30.0, DEFAULT_FIBER_N)
+    grid = fiber_grid or make_grid(DEFAULT_T, DEFAULT_FIBER_N)
 
     bump = BUMPS[recipe.bump](grid.nodes)
     base_fs = fs_weight(recipe.k, grid).values

@@ -222,7 +222,8 @@ class RadialWeight:
 
         Inside the original window the nodes match exactly; outside, the
         profile continues along its asymptotic slopes, which is exact up to
-        the exponentially small tail of the bounded part.
+        the exponentially small tail of the bounded part.  A widened copy
+        keeps no analytic ``curvature``.
         """
         if grid.node_count == self.grid.node_count and \
                 np.array_equal(grid.nodes, self.grid.nodes):
@@ -240,13 +241,8 @@ class RadialWeight:
         vals[mid] = self.values
         vals[left] = self.values[0] + self.slope_minus * (t[left] - told[0])
         vals[right] = self.values[-1] + self.slope_plus * (t[right] - told[-1])
-        curv = None
-        if self.curvature is not None:
-            c = np.zeros(t.size)
-            c[mid] = self.curvature
-            curv = c
         return RadialWeight(grid, vals, self.slope_minus, self.slope_plus,
-                            self.degree, curv)
+                            self.degree)
 
 
 def fs_weight(k: float, grid: RadialGrid) -> RadialWeight:

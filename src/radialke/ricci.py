@@ -21,8 +21,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight,
                        divisor_log_weight, lelong_numbers)
-from .masolver import (POLY_POINTS, MAProblem, SolveReport, newton_residual,
-                       polynomial_start, ricci_problem, solve_ke_ode)
+from .masolver import (DEFAULT_TOL, POLY_POINTS, MAProblem, SolveReport,
+                       newton_residual, polynomial_start, ricci_problem,
+                       solve_ke_ode)
 
 RATIO_SLACK = 1e-3
 DEFAULT_STOP = 1e-10
@@ -84,7 +85,7 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
                                        delta=delta, twist=twist))
 
 
-def ricci_step(state: RicciState, tol: float = 1e-10) -> RicciState:
+def ricci_step(state: RicciState, tol: float = DEFAULT_TOL) -> RicciState:
     """Advance the iteration by one solve against the current weight.
 
     The solve starts from the :func:`polynomial_start` through the weights
@@ -126,7 +127,7 @@ def run_ricci(k: float, divisor: DivisorData | None = None, p: int = 1, *,
               m_max: int = 200, stop_tol: float = DEFAULT_STOP,
               grid: RadialGrid | None = None, eps: float = 0.0,
               delta: float = 0.0,
-              solver_tol: float = 1e-10) -> tuple[RicciState, RicciTrace]:
+              solver_tol: float = DEFAULT_TOL) -> tuple[RicciState, RicciTrace]:
     """Iterate until the sup-norm gap reaches ``stop_tol`` or ``m_max``.
 
     Records gaps, per-step normalization integrals (the class mass by the
@@ -179,6 +180,4 @@ def compare_to_ke(state: RicciState, ke: SolveReport) -> dict:
         "sup_distance": sup,
         "lelong_zero_diff": lel_ke[0] - lel_smooth[0],
         "lelong_infinity_diff": lel_ke[1] - lel_smooth[1],
-        "divisor_zero": float(prob.divisor.coefficient("zero")),
-        "divisor_infinity": float(prob.divisor.coefficient("infinity")),
     }

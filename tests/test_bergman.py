@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def smooth_chain(grid):
 @pytest.fixture(scope="module")
 def smooth_run(smooth_chain):
     return bergman.run_levels(smooth_chain, 40)
+
+
+def stepped_levels(run):
+    """A run's levels, stepped again on the widened chain it stored."""
+    levels, lv = [], None
+    for _ in run.distances:
+        lv = bergman.bergman_step(lv, run.chain)
+        levels.append(lv)
+    return levels
+
+
+@pytest.fixture(scope="module")
+def smooth_levels(smooth_run):
+    return stepped_levels(smooth_run)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +149,9 @@ def test_run_windows_follow_section_range(k, p, zero):
     chain = bergman.build_chain(k, D, p=p, m=1, grid=geo.make_grid(30.0, 1025))
     assert chain.step_degree == p * (k - 2)
     run = bergman.run_levels(chain, 12)
-    assert [lv.level for lv in run.levels] == list(range(1, 13))
-    for lv in run.levels:
+    levels = stepped_levels(run)
+    assert [lv.level for lv in levels] == list(range(1, 13))
+    for lv in levels:
         assert lv.basis == bergman.section_range(lv.level, p, k, D)
         assert lv.kappa.degree == lv.basis.degree == lv.level * chain.step_degree
 
@@ -151,8 +167,8 @@ def test_first_level_from_empty_chain(smooth_chain):
     assert np.all(np.isfinite(lv.log_gram))
 
 
-def test_kappa_convex_and_slopes(smooth_run):
-    for lv in smooth_run.levels[::7]:
+def test_kappa_convex_and_slopes(smooth_levels):
+    for lv in smooth_levels[::7]:
         kappa = lv.kappa
         assert kappa.is_positively_curved(tol=1e-8)
         assert kappa.slope_minus == lv.basis.j_min
@@ -160,14 +176,14 @@ def test_kappa_convex_and_slopes(smooth_run):
         assert kappa.degree == lv.basis.degree
 
 
-def test_renormalized_level_one_is_kappa(smooth_run):
-    lv = smooth_run.levels[0]
+def test_renormalized_level_one_is_kappa(smooth_levels):
+    lv = smooth_levels[0]
     np.testing.assert_allclose(bergman.renormalized_profile(lv),
                                lv.kappa.values, rtol=1e-12)
 
 
-def test_rescaled_slope_approaches_step_degree(smooth_run):
-    lv = smooth_run.levels[-1]
+def test_rescaled_slope_approaches_step_degree(smooth_levels):
+    lv = smooth_levels[-1]
     ell = lv.level
     assert lv.basis.j_max / ell == pytest.approx(2.0, abs=2.5 / ell)
 
@@ -226,6 +242,37 @@ def test_decay_guard_satisfied(smooth_run):
     assert smooth_run.guard_margin >= 0.0
 
 
+def test_run_numbers_match_stepped_levels(smooth_run, smooth_levels):
+    # the numbers a run keeps are those of its levels, bit for bit
+    win = smooth_run.grid.window(*bergman.WINDOW)
+    target = smooth_run.chain.target.values[win]
+    assert smooth_run.n_sections == [lv.basis.n_sections for lv in smooth_levels]
+    assert smooth_run.log_gram_ranges == [
+        (float(np.min(lv.log_gram)), float(np.max(lv.log_gram)))
+        for lv in smooth_levels]
+    assert smooth_run.distances == [
+        float(np.max(np.abs(bergman.renormalized_profile(lv)[win] - target)))
+        for lv in smooth_levels]
+
+
+def test_finished_run_holds_no_level_profiles():
+    # a run keeps per-level numbers, not levels: from 20 to 60 levels the
+    # memory it holds grows by less than two profiles on its widened grid
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+
+    def held(ell_max):
+        tracemalloc.start()
+        try:
+            run = bergman.run_levels(chain, ell_max)
+            return tracemalloc.get_traced_memory()[0], run
+        finally:
+            tracemalloc.stop()
+
+    at_20, _ = held(20)
+    at_60, run = held(60)
+    assert at_60 - at_20 < 2 * 8 * run.grid.node_count
+
+
 def test_off_diagonal_modes_vanish(grid):
     # quadrature of the angular modes: off-diagonal Gram entries are exactly
     # the nonzero Fourier modes of a rotation-invariant density
@@ -248,8 +295,8 @@ def test_c_ell_finite_and_trend(smooth_run):
     assert np.min(trend[5:]) > -1.0  # bounded below along the run
 
 
-def test_c_ell_rejects_wrong_slopes(smooth_run):
-    lv = smooth_run.levels[10]
+def test_c_ell_rejects_wrong_slopes(smooth_run, smooth_levels):
+    lv = smooth_levels[10]
     grid = lv.kappa.grid
     bad_ref = (lv.level + 3.0) * smooth_run.chain.target.values
     with pytest.raises(ConfigurationError, match="slope"):
@@ -278,8 +325,9 @@ def test_kernel_levels_jointly_convex_over_family():
         for i in range(f.base_count)]
     ht = runs[0].grid.spacing
     hs = float(base[1] - base[0])
+    levels = [stepped_levels(r) for r in runs]
     for ell in range(6):
-        U = np.column_stack([r.levels[ell].kappa.values for r in runs])
+        U = np.column_stack([lvs[ell].kappa.values for lvs in levels])
         cert = fam.hessian_certificate(U, ht, hs, tol=1e-8)
         assert cert["passed"], (ell, cert["min_tt"], cert["min_det"])
 
