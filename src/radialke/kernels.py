@@ -34,37 +34,46 @@ plain ``logsumexp`` of a vector or of each matrix row, and these three:
 Both affine kernels are block factored (the absorption idea of
 log-domain stabilized scaling, Schmitzer, arXiv:1610.06519).  Cut the nodes
 into ``nb`` blocks of ``B`` consecutive nodes with centres ``tau_b``; on a
-uniform grid every block has the same offsets ``delta_r`` from its centre, so
+uniform grid every block has the same offsets ``delta_r`` from its centre.
+With ``m`` the midpoint of the slope window,
 
-    exp(s_j t_i + c) = exp(s_j delta_r) * exp(s_j tau_b + c),
+    exp(s_j t_i + c) = exp((s_j - m) delta_r) * exp(s_j tau_b + m delta_r + c),
 
 and the first factor is one ``B x J`` matrix ``E`` shared by every block.
 The profile stabilizes ``s_j tau_b + offsets_j`` by its maximum over ``j`` in
-each block and multiplies by ``E.T``; the quadrature stabilizes
-``base + logw`` by its maximum in each block, multiplies by ``E`` and then
-sums the ``nb`` block logs stably.  ``B`` is the largest width with
-``max|s| h (B - 1) / 2 <= CAP``, and at most ``ceil(sqrt(n))`` so that ``E``
-never grows to ``n x J``.  With ``CAP = 300`` every factor's exponent lies
-in ``[-300, 300]``: nothing overflows, each row's dominant term is at least
-``e^-300``, and a term underflows only if it is below ``e^-145``
-(``e^(-745 + 2 CAP)``) of that dominant term, far under the sum's rounding.
-All terms are positive, so there is no cancellation.  The nodes must be
-uniform, ``t[i] = t[0] + i h`` to ``1e-12 max(1, max|t|)``, checked in
-O(n); a ``ValueError`` otherwise.
+each block, multiplies by ``E.T`` and adds ``m delta_r``; the quadrature
+stabilizes ``base + logw + m delta_r`` by its maximum in each block,
+multiplies by ``E`` and then sums the ``nb`` block logs stably.  ``B`` is the
+largest width with ``max|s - m| h (B - 1) / 2 <= CAP``, and at most
+``ceil(sqrt(n))`` so that ``E`` never grows to ``n x J``; centring halves
+``max|s|`` on level 1000's window (0, 2000) and keeps wide blocks there.
+So ``E`` lies in ``[e^-CAP, e^CAP]``, nothing overflows and each row's
+dominant term is at least ``e^-CAP``.  A stabilized exponent below ``FLOOR =
+-145 - 2 CAP`` is an exact 0 before ``exp`` sees it, in the block matrix and
+in the quadrature's sum over blocks.  With ``CAP = 180``, ``FLOOR + 2 CAP <=
+-145``: a dropped term is below ``e^-145`` of its row's dominant term, far
+under the sum's rounding; ``FLOOR - CAP >= -708`` (the least normal double is
+``e^-708.4``): a kept entry times a factor of ``E`` is normal, so neither
+``exp`` nor the GEMM meets a subnormal number, on which numpy's ``exp`` is
+120 times slower (19 times on inputs below -745) and a GEMM 1.7 times.  All
+terms are positive, so there is no cancellation.  The nodes must be uniform,
+``t[i] = t[0] + i h`` to ``1e-12 max(1, max|t|)``, checked in O(n); a
+``ValueError`` otherwise.
 
 ``block_layout(t, slopes)`` holds what depends only on the nodes and the
-exponents: the width, the centres, ``E`` and ``tau_b s_j``.  One Bergman
-level runs both kernels on the same nodes and exponents, so it builds the
-layout once and passes it to both as ``layout=``.  A call then keeps one
-``nb x J`` block matrix alive and shifts, exponentiates and takes logs in
-place.  Cost per call: one GEMM of ``2 n J`` flops, ``nb J`` exps (the
+exponents: the width, the centres, ``E``, ``tau_b s_j`` and ``m delta_r``.
+One Bergman level runs both kernels on the same nodes and exponents, so it
+builds the layout once and passes it to both as ``layout=``.  A call then
+keeps one ``nb x J`` block matrix alive and shifts, exponentiates and takes
+logs in place.  Cost per call: one GEMM of ``2 n J`` flops, ``nb J`` exps (the
 quadrature adds ``nb J`` logs and ``n`` exps), where the dense form takes
 ``n J`` exps; the layout adds ``B J`` exps.  The GEMM runs in row chunks of
 fewer than ``GEMM_CELLS`` multiply-adds, which OpenBLAS runs on one thread
-each, so the results are bitwise the same at every BLAS thread count.  On a 2-CPU host
-with one BLAS thread a call takes about 3 ms at 11888 nodes x 401 sections
-(level 100) and 30 ms at 12106 x 2001 (level 1000), against 4.5 and
-100 ms with ``CAP = 100`` and per-call layouts.
+each, so the results are bitwise the same at every BLAS thread count.  On a
+2-CPU host with one BLAS thread a profile and a quadrature call take 0.77
+and 0.58 ms at 11888 nodes x 401 sections (level 100), and 6.3 and 7.5 ms at
+12106 x 2001 (level 1000), against 1.24, 0.77, 10.3 and 11.5 ms with
+``CAP = 300``, no floor and no centring.
 
 The test suite checks each kernel against a dense or direct oracle at 1e-12
 relative tolerance.
@@ -77,7 +86,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-CAP = 300.0  # bound on every factor's exponent in the log-sum-exp kernels
+CAP = 180.0  # bound on every factor's exponent in the log-sum-exp kernels
+#: a stabilized exponent below this is an exact 0 in the log-sum-exp kernels
+FLOOR = -145.0 - 2.0 * CAP
 #: OpenBLAS gives a GEMM one thread per 2**18 of ``m n k``, rounded down, so
 #: one below this size runs on one thread; a threaded GEMM's bits depend on
 #: where its output is split between threads
@@ -159,15 +170,17 @@ class BlockLayout(NamedTuple):
     """Blocks of a uniform grid and the factors every call on it shares.
 
     Node ``b * width + r`` sits at ``tau[b] + delta[r]`` with
-    ``delta = (arange(width) - (width - 1) / 2) * h``; ``e[r, j] =
-    exp(slopes[j] * delta[r])`` serves every block and ``ts[b, j] =
-    tau[b] * slopes[j]``.  Both arrays are read-only.
+    ``delta = (arange(width) - (width - 1) / 2) * h``.  With ``mid`` the
+    midpoint of the slopes, ``e[r, j] = exp((slopes[j] - mid) * delta[r])``
+    serves every block, ``ts[b, j] = tau[b] * slopes[j]`` and ``shift[r] =
+    mid * delta[r]``.  The three arrays are read-only.
     """
 
     width: int
     tau: np.ndarray
     e: np.ndarray
     ts: np.ndarray
+    shift: np.ndarray
 
 
 def block_layout(t: np.ndarray, slopes: np.ndarray) -> BlockLayout:
@@ -177,16 +190,29 @@ def block_layout(t: np.ndarray, slopes: np.ndarray) -> BlockLayout:
     scale = max(1.0, float(np.max(np.abs(t))))
     if np.max(np.abs(t - (t[0] + h * np.arange(n)))) > 1e-12 * scale:
         raise ValueError("log-sum-exp kernels need uniform nodes t[0] + i*h")
-    spread = float(np.max(np.abs(slopes))) * abs(h)
+    mid = (float(np.max(slopes)) + float(np.min(slopes))) / 2
+    centred = slopes - mid
+    spread = float(np.max(np.abs(centred))) * abs(h)
     width = min(n, math.isqrt(n - 1) + 1,
                 n if spread == 0 else int(2.0 * CAP / spread) + 1)
     delta = (np.arange(width) - (width - 1) / 2) * h
     tau = t[0] + (np.arange(-(-n // width)) * width + (width - 1) / 2) * h
-    e = np.outer(delta, slopes)
+    e = np.outer(delta, centred)
     np.exp(e, out=e)
     ts = np.outer(tau, slopes)
-    e.flags.writeable = ts.flags.writeable = False
-    return BlockLayout(width, tau, e, ts)
+    shift = mid * delta
+    e.flags.writeable = ts.flags.writeable = shift.flags.writeable = False
+    return BlockLayout(width, tau, e, ts, shift)
+
+
+def _floored_exp(x: np.ndarray) -> np.ndarray:
+    """``exp(x)`` in place, an exact 0 wherever ``x < FLOOR``, so that no
+    subnormal number is computed."""
+    low = x < FLOOR
+    np.maximum(x, FLOOR, out=x)
+    np.exp(x, out=x)
+    np.copyto(x, 0.0, where=low)
+    return x
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,10 +232,10 @@ def affine_lse_profile(t: np.ndarray, slopes: np.ndarray,
     c = layout.ts + offsets
     mx = c.max(axis=1, keepdims=True)
     c -= mx
-    np.exp(c, out=c)
-    out = _matmul(c, layout.e.T)
+    out = _matmul(_floored_exp(c), layout.e.T)
     np.log(out, out=out)
     out += mx
+    out += layout.shift
     return out.ravel()[:t.size]
 
 
@@ -217,23 +243,22 @@ def affine_lse_quadrature(t: np.ndarray, logw: np.ndarray,
                           slopes: np.ndarray, offsets: np.ndarray,
                           base: np.ndarray, *,
                           layout: Optional[BlockLayout] = None) -> np.ndarray:
-    width, tau, e, ts = layout or block_layout(t, slopes)
+    width, tau, e, ts, shift = layout or block_layout(t, slopes)
     g = np.full(tau.size * width, -np.inf)
     np.add(base, logw, out=g[:t.size])
     g = g.reshape(tau.size, width)
+    g += shift
     gx = g.max(axis=1, keepdims=True)
     gx[gx == -np.inf] = 0.0  # a block of zero weights adds nothing
     g -= gx
-    np.exp(g, out=g)
-    lb = _matmul(g, e)
+    lb = _matmul(_floored_exp(g), e)
     with np.errstate(divide="ignore"):
         np.log(lb, out=lb)
     lb += gx
     lb += ts
     mx = lb.max(axis=0)
     lb -= mx
-    np.exp(lb, out=lb)
-    return offsets + mx + np.log(lb.sum(axis=0))
+    return offsets + mx + np.log(_floored_exp(lb).sum(axis=0))
 
 
 def logsumexp(values: np.ndarray) -> float | np.ndarray:

@@ -156,6 +156,17 @@ def test_run_windows_follow_section_range(k, p, zero):
         assert lv.kappa.degree == lv.basis.degree == lv.level * chain.step_degree
 
 
+@pytest.mark.parametrize("p, zero", [(1, None), (2, "1/2")],
+                         ids=["smooth-p1", "half-p2"])
+def test_run_computes_no_subnormals(p, zero):
+    # the kernels zero every term below their floor before exponentiating
+    D = geo.divisor(zero=zero) if zero else geo.DivisorData()
+    chain = bergman.build_chain(4.0, D, p=p, m=1, grid=geo.make_grid(30.0, 1025))
+    with np.errstate(under="raise"):
+        run = bergman.run_levels(chain, 60)
+    assert len(run.distances) == 60
+
+
 def test_fractional_degree_refused_before_the_chain_is_built():
     with pytest.raises(ConfigurationError, match="p\\*\\(k-2\\)"):
         bergman.build_chain(4.5, None, p=1, m=1, grid=geo.make_grid(30.0, 257))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,8 +287,8 @@ def _bergman_shaped(slopes, n=11888):
     return t, logw, offsets, base
 
 
-# (1600, 2000): the slopes of a level-1000 recursion, where CAP, not
-# sqrt(n), sets the block width (21 nodes)
+# (1600, 2000): the slopes of a level-1000 recursion; centred on their
+# midpoint they span 400, and sqrt(n) sets the block width (110 nodes)
 @pytest.mark.parametrize("lo,hi", [(0, 400), (50, 350), (1600, 2000)])
 def test_lse_kernels_bergman_sizes_match_dense(lo, hi):
     slopes = np.arange(lo, hi + 1, dtype=np.float64)
@@ -296,6 +298,40 @@ def test_lse_kernels_bergman_sizes_match_dense(lo, hi):
     assert _normwise(got, _dense_profile(t, slopes, offsets)) <= 1e-12
     got = kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
     assert got.shape == slopes.shape
+    assert _normwise(got, _dense_quadrature(t, logw, slopes, offsets, base)) <= 1e-12
+
+
+def test_lse_constants_keep_terms_and_products_normal():
+    # a dropped term is below e^-145 of its row's dominant term, and a kept
+    # block entry times a factor of E is a normal double
+    assert kernels.FLOOR + 2 * kernels.CAP <= -145
+    assert kernels.FLOOR - kernels.CAP > math.log(np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n,lo,hi", [(11888, 0, 400), (11888, 1600, 2000),
+                                     (12106, 0, 2000)])
+def test_lse_kernels_compute_no_subnormals(n, lo, hi):
+    # (0, 2000) at 12106 nodes is the window of level 1000, where CAP sets
+    # the block width; terms below FLOOR are zeroed before they reach exp
+    slopes = np.arange(lo, hi + 1, dtype=np.float64)
+    t, logw, offsets, base = _bergman_shaped(slopes, n)
+    with np.errstate(under="raise"):
+        kernels.affine_lse_profile(t, slopes, offsets)
+        kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
+
+
+def test_lse_kernels_steep_offsets_match_dense():
+    # offsets falling 5 to 20 e-folds per section put most block entries
+    # below FLOOR, where both kernels take an exact 0
+    rng = np.random.default_rng(5)
+    slopes = np.arange(0.0, 201.0)
+    t, logw, _, base = _bergman_shaped(slopes, 2001)
+    offsets = -np.cumsum(rng.uniform(5.0, 20.0, slopes.size))
+    c = kernels.block_layout(t, slopes).ts + offsets
+    assert np.mean(c - c.max(axis=1, keepdims=True) < kernels.FLOOR) > 0.5
+    got = kernels.affine_lse_profile(t, slopes, offsets)
+    assert _normwise(got, _dense_profile(t, slopes, offsets)) <= 1e-12
+    got = kernels.affine_lse_quadrature(t, logw, slopes, offsets, base)
     assert _normwise(got, _dense_quadrature(t, logw, slopes, offsets, base)) <= 1e-12
 
 
@@ -386,6 +422,7 @@ def test_lse_kernels_shared_layout_is_bitwise_fresh(n, lo, hi):
                                           layout=layout),
             kernels.affine_lse_quadrature(t, logw, slopes, offsets, base))
     assert not (layout.e.flags.writeable or layout.ts.flags.writeable)
+    assert not layout.shift.flags.writeable
 
 
 _THREADS_SCRIPT = """
