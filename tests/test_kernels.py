@@ -322,7 +322,8 @@ def test_lse_kernels_compute_no_subnormals(n, lo, hi):
 
 def test_lse_kernels_steep_offsets_match_dense():
     # offsets falling 5 to 20 e-folds per section put most block entries
-    # below FLOOR, where both kernels take an exact 0
+    # below FLOOR, where both kernels take an exact 0; CAP, not sqrt(n),
+    # sets the block width here (42 nodes)
     rng = np.random.default_rng(5)
     slopes = np.arange(0.0, 201.0)
     t, logw, _, base = _bergman_shaped(slopes, 2001)
