@@ -36,8 +36,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .geometry import (DivisorData, RadialGrid, RadialWeight,
                        divisor_frame_log, divisor_log_weight, readonly_array)
-from .kernels import (BlockLayout, affine_lse_profile, affine_lse_quadrature,
-                      block_layout, logsumexp)
+from .kernels import (BlockLayout, LayoutTable, affine_lse_profile,
+                      affine_lse_quadrature, block_layout, logsumexp)
 from .masolver import ke_problem, solve_ke_ode
 from . import ricci as ricci_mod
 
@@ -79,11 +79,15 @@ def _step_degree(p: int, k: float) -> int:
     return int(d1)
 
 
+def _ceil_times(n: int, a: Fraction) -> int:
+    """``ceil(n a)``, exactly, in integers."""
+    return -(-n * a.numerator // a.denominator)
+
+
 def _window(level: int, p: int, step_degree: int, D: DivisorData) -> SectionBasis:
     """The window rule of :func:`section_range`, from a known step degree."""
-    lp = Fraction(level * p)
-    j_min = int(math.ceil(lp * D.coefficient("zero")))
-    j_max = level * step_degree - int(math.ceil(lp * D.coefficient("infinity")))
+    j_min = _ceil_times(level * p, D.zero)
+    j_max = level * step_degree - _ceil_times(level * p, D.infinity)
     if j_max < j_min:
         raise ConfigurationError(
             f"empty section space at level {level}: window [{j_min}, {j_max}]")
@@ -108,8 +112,8 @@ def frac_frame_log(level: int, chain: "WeightChain") -> np.ndarray:
     For each divisor point the exponent is ``ceil(l p a) - l p a``, applied
     to the Fubini-Study frame norm.
     """
-    lp = Fraction(level * chain.p)
-    frac = lambda a: math.ceil(lp * a) - lp * a
+    lp = level * chain.p
+    frac = lambda a: _ceil_times(lp, a) - lp * a
     D = chain.divisor
     return divisor_frame_log(DivisorData(zero=frac(D.zero), infinity=frac(D.infinity)),
                              chain.tau.grid)
@@ -217,16 +221,18 @@ def gram_diagonal(basis: SectionBasis, chain: WeightChain,
                                  np.zeros(basis.n_sections), base, layout=layout)
 
 
-def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain) -> BergmanLevel:
+def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
+                 layout: Optional[BlockLayout] = None) -> BergmanLevel:
     """Advance the kernel recursion by one level (``prev=None`` starts at 1).
 
     The Gram quadrature and the kernel profile run on the same nodes and
-    exponents, so they share one block layout.
+    exponents, so they share one block layout: ``layout``, if given, must be
+    the kernels' layout of the chain's nodes for the level's exponents.
     """
     level = 1 if prev is None else prev.level + 1
     basis = _window(level, chain.p, chain.step_degree, chain.divisor)
     grid = chain.tau.grid
-    layout = block_layout(grid.nodes, basis.exponents)
+    layout = layout or block_layout(grid.nodes, basis.exponents)
     log_gram = gram_diagonal(basis, chain, prev, layout=layout)
     kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
                                     layout=layout)
@@ -293,6 +299,12 @@ class BergmanRun:
         return np.expm1(np.array(self.chain_log_integrals) - np.array(log_bounds))
 
 
+def _windows(chain: WeightChain, ell_max: int) -> list[SectionBasis]:
+    """The windows of levels 1 to ``ell_max``."""
+    return [_window(ell, chain.p, chain.step_degree, chain.divisor)
+            for ell in range(1, ell_max + 1)]
+
+
 def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
     """Half width needed for the 1e-30 decay guard on every Gram integrand.
 
@@ -301,8 +313,7 @@ def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
     """
     beta_lo, beta_hi = math.inf, math.inf
     prev_lo, prev_hi = 0.0, 0.0
-    for ell in range(1, ell_max + 1):
-        b = _window(ell, chain.p, chain.step_degree, chain.divisor)
+    for b in _windows(chain, ell_max):
         beta_lo = min(beta_lo, b.j_min + 1.0 - prev_lo - chain.tau.slope_minus)
         beta_hi = min(beta_hi, -(b.j_max + 1.0 - prev_hi - chain.tau.slope_plus))
         prev_lo, prev_hi = float(b.j_min), float(b.j_max)
@@ -320,6 +331,11 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
     renormalized profile to the target on ``WINDOW``, one-sided slack below
     it, integral-chain log integral (the bound follows from the section
     counts) and reference gap.  The decay guard is checked on every level.
+    Every window is known before level 1, so the levels read their block
+    layouts from one :class:`~radialke.kernels.LayoutTable`, and what does
+    not change with the level is computed once: the integrand and guard
+    terms without the kernel, and the fractional frame of each residue class
+    of ``l p`` modulo the divisor's denominators.
     """
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
@@ -328,35 +344,40 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
                       target=chain.target.resampled(wide))
     run = BergmanRun(chain_w)
     t = wide.nodes
-    logw = wide.log_trapezoid_weights
-    win = wide.window(*WINDOW)
+    table = LayoutTable(t, [(b.j_min, b.j_max) for b in _windows(chain_w, ell_max)])
+    inside = np.flatnonzero(wide.window(*WINDOW))
+    win = slice(inside[0], inside[-1] + 1)
     target = chain_w.target.values
+    t_tau = t - chain_w.tau.values
+    chain_terms = t_tau + math.log(2.0 * math.pi) + wide.log_trapezoid_weights
+    D = chain_w.divisor
+    period = math.lcm(D.zero.denominator, D.infinity.denominator)
+    frames: dict[int, np.ndarray] = {}
     prev = None
     for ell in range(1, ell_max + 1):
-        lv = bergman_step(prev, chain_w)
+        lv = bergman_step(prev, chain_w, layout=table.layout(ell - 1))
         run.n_sections.append(lv.basis.n_sections)
         run.log_gram_ranges.append((float(np.min(lv.log_gram)),
                                     float(np.max(lv.log_gram))))
         # decay guard: slowest columns sit at the window ends
-        prev_kappa = np.zeros(t.size) if prev is None else prev.kappa.values
+        rest = t_tau if prev is None else t_tau - prev.kappa.values
         for j in (lv.basis.j_min, lv.basis.j_max):
-            col = j * t - prev_kappa - chain_w.tau.values + t
+            col = j * t + rest
             peak = float(np.max(col))
             margin = peak - max(float(col[0]), float(col[-1])) + DECAY_GUARD_LOG
             run.guard_margin = min(run.guard_margin, margin)
         if run.guard_margin < 0:
             raise ConfigurationError(
                 f"quadrature decay guard violated at level {ell}; widen the grid")
-        r = renormalized_profile(lv)
-        diff = r[win] - target[win]
-        run.distances.append(float(np.max(np.abs(diff))))
-        run.liminf_slacks.append(max(0.0, -float(np.min(r - target))))
+        diff = renormalized_profile(lv) - target
+        run.distances.append(float(np.max(np.abs(diff[win]))))
+        run.liminf_slacks.append(max(0.0, -float(np.min(diff))))
         # integral chain, all three factors against the same nodal measure
-        log_i = logsumexp(lv.kappa.values / ell - chain_w.tau.values + t
-                          + math.log(2.0 * math.pi) + logw)
-        run.chain_log_integrals.append(log_i)
-        ref = ell * target + frac_frame_log(ell, chain_w)
-        run.c_ells.append(c_ell_diagnostic(lv, ref))
+        run.chain_log_integrals.append(logsumexp(lv.kappa.values / ell + chain_terms))
+        residue = ell * chain_w.p % period
+        if residue not in frames:
+            frames[residue] = frac_frame_log(ell, chain_w)
+        run.c_ells.append(c_ell_diagnostic(lv, ell * target + frames[residue]))
         prev = lv
     return run
 

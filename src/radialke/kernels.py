@@ -173,7 +173,7 @@ class BlockLayout(NamedTuple):
     ``delta = (arange(width) - (width - 1) / 2) * h``.  With ``mid`` the
     midpoint of the slopes, ``e[r, j] = exp((slopes[j] - mid) * delta[r])``
     serves every block, ``ts[b, j] = tau[b] * slopes[j]`` and ``shift[r] =
-    mid * delta[r]``.  The three arrays are read-only.
+    mid * delta[r]``.  The arrays are read-only.
     """
 
     width: int
@@ -185,44 +185,143 @@ class BlockLayout(NamedTuple):
 
 def block_layout(t: np.ndarray, slopes: np.ndarray) -> BlockLayout:
     """The block layout of nodes ``t`` for exponents ``slopes``."""
+    h = _uniform_step(t)
+    mid = (float(np.max(slopes)) + float(np.min(slopes))) / 2
+    centred = slopes - mid
+    width = _block_width(t.size, float(np.max(np.abs(centred))) * abs(h))
+    delta, tau = _blocks(t, h, width)
+    return _frozen(BlockLayout(width, tau, _block_factor(delta, centred),
+                               np.outer(tau, slopes), mid * delta))
+
+
+class LayoutTable:
+    """The block layouts of one uniform grid for a known sequence of integer
+    exponent windows ``[lo, hi]``, such as the levels of a Bergman run.
+
+    ``layout(i)`` is bit for bit ``block_layout(t, arange(lo_i, hi_i + 1))``:
+    the grid is checked once, and the windows that share a block width
+    (consecutive ones, as the width falls while the windows widen) read
+    their ``E`` and ``tau_b s_j`` as column slices of two tables built when
+    the first of them is asked for.  ``E``'s table spans the centred
+    exponents ``j - mid`` of those windows, integers for an odd window
+    length and half-integers for an even one, and the ``ts`` table their
+    integer exponents, each entry the product and ``exp`` that
+    :func:`block_layout` computes; only the current width's tables are kept.
+    """
+
+    def __init__(self, t: np.ndarray, windows):
+        self._t, self._h = t, _uniform_step(t)
+        self._windows = [(int(lo), int(hi)) for lo, hi in windows]
+        self._widths = [_block_width(t.size, (hi - lo) / 2 * abs(self._h))
+                        for lo, hi in self._windows]
+        self._group = range(0)
+
+    def layout(self, i: int) -> BlockLayout:
+        """The layout of window ``i``."""
+        if i not in self._group:
+            self._build(i)
+        lo, hi = self._windows[i]
+        n = hi - lo + 1
+        col = (self._odd - n) // 2 if n % 2 else self._odd + (self._even - n) // 2
+        return _frozen(BlockLayout(self._widths[i], self._tau,
+                                   self._e[:, col:col + n],
+                                   self._ts[:, lo - self._lo:hi - self._lo + 1],
+                                   (hi + lo) / 2 * self._delta))
+
+    def _build(self, i: int) -> None:
+        width, stop = self._widths[i], i
+        while stop < len(self._widths) and self._widths[stop] == width:
+            stop += 1
+        wins = self._windows[i:stop]
+        sizes = [hi - lo + 1 for lo, hi in wins]
+        self._odd = max((n for n in sizes if n % 2), default=0)
+        self._even = max((n for n in sizes if n % 2 == 0), default=0)
+        self._lo = min(lo for lo, _ in wins)
+        self._delta, self._tau = _blocks(self._t, self._h, width)
+        self._e = self._ts = None  # release the previous width's tables first
+        centred = np.concatenate([np.arange(self._odd) - (self._odd - 1) / 2,
+                                  np.arange(self._even) - (self._even - 1) / 2])
+        self._e = _block_factor(self._delta, centred)
+        self._ts = np.outer(self._tau, np.arange(
+            self._lo, max(hi for _, hi in wins) + 1, dtype=np.float64))
+        self._group = range(i, stop)
+
+
+def _uniform_step(t: np.ndarray) -> float:
+    """The step ``h`` of uniform nodes ``t[0] + i h``; a ``ValueError``
+    unless every node is within ``1e-12 max(1, max|t|)`` of them."""
     n = t.size
     h = (t[-1] - t[0]) / max(n - 1, 1)
     scale = max(1.0, float(np.max(np.abs(t))))
     if np.max(np.abs(t - (t[0] + h * np.arange(n)))) > 1e-12 * scale:
         raise ValueError("log-sum-exp kernels need uniform nodes t[0] + i*h")
-    mid = (float(np.max(slopes)) + float(np.min(slopes))) / 2
-    centred = slopes - mid
-    spread = float(np.max(np.abs(centred))) * abs(h)
-    width = min(n, math.isqrt(n - 1) + 1,
-                n if spread == 0 else int(2.0 * CAP / spread) + 1)
+    return h
+
+
+def _block_width(n: int, spread: float) -> int:
+    """Block width of ``n`` nodes for centred exponents of largest ``|s - m|
+    h`` equal to ``spread``."""
+    return min(n, math.isqrt(n - 1) + 1,
+               n if spread == 0 else int(2.0 * CAP / spread) + 1)
+
+
+def _blocks(t: np.ndarray, h: float, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node offsets ``delta`` in a block of ``width`` and the block centres."""
     delta = (np.arange(width) - (width - 1) / 2) * h
-    tau = t[0] + (np.arange(-(-n // width)) * width + (width - 1) / 2) * h
+    tau = t[0] + (np.arange(-(-t.size // width)) * width + (width - 1) / 2) * h
+    return delta, tau
+
+
+def _block_factor(delta: np.ndarray, centred: np.ndarray) -> np.ndarray:
+    """``E[r, j] = exp(delta[r] * centred[j])``."""
     e = np.outer(delta, centred)
     np.exp(e, out=e)
-    ts = np.outer(tau, slopes)
-    shift = mid * delta
-    e.flags.writeable = ts.flags.writeable = shift.flags.writeable = False
-    return BlockLayout(width, tau, e, ts, shift)
+    return e
 
 
-def _floored_exp(x: np.ndarray) -> np.ndarray:
-    """``exp(x)`` in place, an exact 0 wherever ``x < FLOOR``, so that no
-    subnormal number is computed."""
-    low = x < FLOOR
+def _frozen(layout: BlockLayout) -> BlockLayout:
+    for a in layout[1:]:
+        a.flags.writeable = False
+    return layout
+
+
+def _floored_exp(x: np.ndarray, low: Optional[np.ndarray] = None) -> np.ndarray:
+    """``exp(x)`` in place, an exact 0 wherever ``x < FLOOR`` (the mask
+    ``low``, if given), so that no subnormal number is computed."""
+    if low is None:
+        low = x < FLOOR
     np.maximum(x, FLOOR, out=x)
     np.exp(x, out=x)
     np.copyto(x, 0.0, where=low)
     return x
 
 
+def _chunk_rows(k: int, n: int) -> int:
+    """Rows of an ``(rows, k) @ (k, n)`` GEMM below ``GEMM_CELLS``."""
+    return max(1, (GEMM_CELLS - 1) // (k * n))
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in row chunks small enough for a one-thread GEMM each, so
     that the result is bitwise the same at every BLAS thread count."""
-    rows = max(1, (GEMM_CELLS - 1) // (a.shape[1] * b.shape[1]))
+    rows = _chunk_rows(a.shape[1], b.shape[1])
     out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], rows):
         np.matmul(a[i:i + rows], b, out=out[i:i + rows])
     return out
+
+
+def _bands(low: np.ndarray, rows: int) -> list[slice]:
+    """Per chunk of ``rows`` rows, the columns from the first to the last
+    one with an entry outside ``low``; every row has one."""
+    n, k = low.shape
+    whole = n // rows * rows
+    dropped = low[:whole].reshape(-1, rows, k).all(axis=1)
+    if whole < n:
+        dropped = np.concatenate([dropped, low[whole:].all(axis=0, keepdims=True)])
+    lo = np.argmin(dropped, axis=1).tolist()
+    hi = (k - np.argmin(dropped[:, ::-1], axis=1)).tolist()
+    return [slice(a, b) for a, b in zip(lo, hi)]
 
 
 def affine_lse_profile(t: np.ndarray, slopes: np.ndarray,
@@ -232,7 +331,16 @@ def affine_lse_profile(t: np.ndarray, slopes: np.ndarray,
     c = layout.ts + offsets
     mx = c.max(axis=1, keepdims=True)
     c -= mx
-    out = _matmul(_floored_exp(c), layout.e.T)
+    e_t = layout.e.T
+    rows = _chunk_rows(*e_t.shape)
+    if rows >= c.shape[0]:  # one chunk: a band search would cost more than it saves
+        out = _floored_exp(c) @ e_t
+    else:
+        low = c < FLOOR
+        out = np.empty((c.shape[0], e_t.shape[1]))
+        for i, band in zip(range(0, c.shape[0], rows), _bands(low, rows)):
+            x = _floored_exp(c[i:i + rows, band], low[i:i + rows, band])
+            np.matmul(x, e_t[band], out=out[i:i + rows])
     np.log(out, out=out)
     out += mx
     out += layout.shift

@@ -125,18 +125,49 @@ def test_gram_integrability_guard(grid):
 # level recursion
 # ---------------------------------------------------------------------------
 
-def test_run_builds_one_block_layout_per_level(smooth_chain, monkeypatch):
-    # the Gram quadrature and the kernel profile of a level share one layout
-    built, build = [], kernels.block_layout
+def test_run_reads_level_layouts_from_one_table(monkeypatch):
+    # a smooth N 1025 run to level 150 meets 15 block widths: each level's
+    # layout is bit for bit the one block_layout builds, the level's Gram
+    # quadrature and kernel profile both read it, and the run computes E
+    # once per block width
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    given, quads, profiles, factored = [], [], [], []
+    step, quad = bergman.bergman_step, bergman.affine_lse_quadrature
+    profile, factor = bergman.affine_lse_profile, kernels._block_factor
 
-    def counted(t, slopes):
-        built.append(slopes.size)
-        return build(t, slopes)
+    def stepped(prev, ch, *, layout=None):
+        given.append(layout)
+        return step(prev, ch, layout=layout)
 
-    monkeypatch.setattr(kernels, "block_layout", counted)
-    monkeypatch.setattr(bergman, "block_layout", counted)
-    run = bergman.run_levels(smooth_chain, 12)
-    assert built == run.n_sections == [2 * ell + 1 for ell in range(1, 13)]
+    def quadrature(*args, layout=None):
+        quads.append(layout)
+        return quad(*args, layout=layout)
+
+    def profiled(*args, layout=None):
+        profiles.append(layout)
+        return profile(*args, layout=layout)
+
+    def block_factor(delta, centred):
+        factored.append(delta.size)
+        return factor(delta, centred)
+
+    monkeypatch.setattr(bergman, "bergman_step", stepped)
+    monkeypatch.setattr(bergman, "affine_lse_quadrature", quadrature)
+    monkeypatch.setattr(bergman, "affine_lse_profile", profiled)
+    monkeypatch.setattr(kernels, "_block_factor", block_factor)
+    run = bergman.run_levels(chain, 150)
+    monkeypatch.undo()
+    assert len(given) == len(quads) == len(profiles) == 150
+    assert all(g is q is p for g, q, p in zip(given, quads, profiles))
+    for ell, layout in enumerate(given, start=1):
+        fresh = kernels.block_layout(run.grid.nodes,
+                                     bergman.section_range(ell, 1, 4.0).exponents)
+        assert layout.width == fresh.width
+        for got, want in zip(layout[1:], fresh[1:]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    widths = [layout.width for layout in given]
+    assert factored == sorted(set(widths), reverse=True)
+    assert len(factored) == 15
 
 
 @pytest.mark.parametrize("k, p, zero", [
@@ -253,17 +284,41 @@ def test_decay_guard_satisfied(smooth_run):
     assert smooth_run.guard_margin >= 0.0
 
 
-def test_run_numbers_match_stepped_levels(smooth_run, smooth_levels):
+@pytest.fixture(scope="module")
+def half_p1_run():
+    # at p 1 the frame exponent ceil(l/2) - l/2 alternates between 0 and 1/2
+    chain = bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=1, m=1,
+                                grid=geo.make_grid(30.0, 1025))
+    return bergman.run_levels(chain, 30)
+
+
+@pytest.fixture(scope="module")
+def long_smooth_run():
+    # 15 block widths between levels 1 and 150
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    return bergman.run_levels(chain, 150)
+
+
+@pytest.mark.parametrize("name", ["smooth_run", "half_p1_run", "long_smooth_run"])
+def test_run_numbers_match_stepped_levels(name, request):
     # the numbers a run keeps are those of its levels, bit for bit
-    win = smooth_run.grid.window(*bergman.WINDOW)
-    target = smooth_run.chain.target.values[win]
-    assert smooth_run.n_sections == [lv.basis.n_sections for lv in smooth_levels]
-    assert smooth_run.log_gram_ranges == [
+    run = request.getfixturevalue(name)
+    levels = stepped_levels(run)
+    win = run.grid.window(*bergman.WINDOW)
+    target = run.chain.target.values
+    profiles = [bergman.renormalized_profile(lv) for lv in levels]
+    assert run.n_sections == [lv.basis.n_sections for lv in levels]
+    assert run.log_gram_ranges == [
         (float(np.min(lv.log_gram)), float(np.max(lv.log_gram)))
-        for lv in smooth_levels]
-    assert smooth_run.distances == [
-        float(np.max(np.abs(bergman.renormalized_profile(lv)[win] - target)))
-        for lv in smooth_levels]
+        for lv in levels]
+    assert run.distances == [float(np.max(np.abs(r[win] - target[win])))
+                             for r in profiles]
+    assert run.liminf_slacks == [max(0.0, -float(np.min(r - target)))
+                                 for r in profiles]
+    assert run.c_ells == [
+        bergman.c_ell_diagnostic(lv, lv.level * target
+                                 + bergman.frac_frame_log(lv.level, run.chain))
+        for lv in levels]
 
 
 def test_finished_run_holds_no_level_profiles():

@@ -336,6 +336,50 @@ def test_lse_kernels_steep_offsets_match_dense():
     assert _normwise(got, _dense_quadrature(t, logw, slopes, offsets, base)) <= 1e-12
 
 
+def test_lse_profile_banded_chunks_match_dense():
+    # concave offsets, as -log G_j of a Bergman level: the sections within
+    # e^-505 of a node's dominant one form a band that moves with t, so the
+    # profile's row chunks multiply over different bands of sections
+    slopes = np.arange(0.0, 401.0)
+    t, _, _, _ = _bergman_shaped(slopes)
+    offsets = -0.1 * slopes**2
+    layout = kernels.block_layout(t, slopes)
+    c = layout.ts + offsets
+    kept = c - c.max(axis=1, keepdims=True) >= kernels.FLOOR
+    rows = (kernels.GEMM_CELLS - 1) // (slopes.size * layout.width)
+    bands = set()
+    for i in range(0, c.shape[0], rows):
+        cols = np.flatnonzero(kept[i:i + rows].any(axis=0))
+        bands.add((cols[0], cols[-1]))
+    assert len(bands) >= 3 and (0, slopes.size - 1) not in bands
+    want = _dense_profile(t, slopes, offsets)
+    with np.errstate(under="raise"):
+        got = kernels.affine_lse_profile(t, slopes, offsets)
+        assert np.array_equal(got, kernels.affine_lse_profile(t, slopes, offsets,
+                                                              layout=layout))
+    assert _normwise(got, want) <= 1e-12
+
+
+def test_layout_table_matches_block_layout():
+    # the windows of a 1/2[0], p 2 recursion (odd and even lengths), read in
+    # order and out of order: every layout is bit for bit block_layout's
+    t = np.linspace(-40.0, 40.0, 2001)
+    windows = [(ell, 4 * ell) for ell in range(1, 201)]
+    table = kernels.LayoutTable(t, windows)
+    assert len({kernels.block_layout(t, np.arange(lo, hi + 1.0)).width
+                for lo, hi in windows[::20]}) > 1
+    order = list(range(len(windows)))
+    for i in order + order[::-7]:
+        lo, hi = windows[i]
+        got, want = table.layout(i), kernels.block_layout(t, np.arange(lo, hi + 1.0))
+        assert got.width == want.width
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        kernels.LayoutTable(np.r_[t[:-1], t[-1] + 1e-6], windows)
+
+
 def test_lse_kernels_reject_non_uniform_nodes():
     t = np.linspace(-10.0, 10.0, 101)
     t[50] += 1e-6
