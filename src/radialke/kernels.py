@@ -63,17 +63,37 @@ terms are positive, so there is no cancellation.  The nodes must be uniform,
 ``block_layout(t, slopes)`` holds what depends only on the nodes and the
 exponents: the width, the centres, ``E``, ``tau_b s_j`` and ``m delta_r``.
 One Bergman level runs both kernels on the same nodes and exponents, so it
-builds the layout once and passes it to both as ``layout=``.  A call then
-keeps one ``nb x J`` block matrix alive and shifts, exponentiates and takes
-logs in place.  Cost per call: one GEMM of ``2 n J`` flops, ``nb J`` exps (the
-quadrature adds ``nb J`` logs and ``n`` exps), where the dense form takes
-``n J`` exps; the layout adds ``B J`` exps.  The GEMM runs in row chunks of
-fewer than ``GEMM_CELLS`` multiply-adds, which OpenBLAS runs on one thread
-each, so the results are bitwise the same at every BLAS thread count.  On a
-2-CPU host with one BLAS thread a profile and a quadrature call take 0.77
-and 0.58 ms at 11888 nodes x 401 sections (level 100), and 6.3 and 7.5 ms at
-12106 x 2001 (level 1000), against 1.24, 0.77, 10.3 and 11.5 ms with
-``CAP = 300``, no floor and no centring.
+passes one layout to both as ``layout=``.  A run knows every level's
+exponent window before its first level, so its levels read their layouts
+from one ``LayoutTable``: it checks the grid once and, for each block width
+the run meets, computes ``E`` over the centred exponents and ``tau_b s_j``
+over the integer exponents of the windows of that width once, sized to
+them; a level's layout is a column slice, each entry the product and
+``exp`` that ``block_layout`` computes.  A call keeps one ``nb x J`` block
+matrix alive and shifts, exponentiates and takes logs in place.
+
+Both kernels' products run in row chunks of fewer than ``GEMM_CELLS``
+multiply-adds, which OpenBLAS runs on one thread each, so the results are
+bitwise the same at every BLAS thread count.  The profile's block matrix is
+mostly exact zeros at high level (85% at level 100 of the default run): the
+sections within ``e^FLOOR`` of a block's dominant one form a band that
+moves with the block.  So each of its chunks exponentiates and multiplies
+only the band from the first to the last section that survives ``FLOOR``
+in one of its rows, read from the ``< FLOOR`` mask.  The columns left out
+are exact zeros, and the banded products gave the bits of the full ones in
+every Bergman run compared (OpenBLAS 0.3.31).  A call of one chunk skips
+the search, which there costs more than it saves.
+
+Cost per call: one GEMM of at most ``2 n J`` flops and at most ``nb J`` exps
+(the quadrature adds ``nb J`` logs and ``n`` exps), where the dense form
+takes ``n J`` exps; a fresh layout adds ``B J`` exps, a table slice none.
+On a 2-CPU host with one BLAS thread, on the inputs of level 200 of the
+default run (11888 nodes x 401 sections), a profile call takes 0.37 ms
+(0.78 ms unbanded), a quadrature call 0.60 ms and ``block_layout`` 0.23 ms,
+against 4 us for a table slice; on those of level 1000 (12106 x 2001) 3.8,
+8.6 and 1.6 ms (profile 7.0 ms unbanded).  Per level, a run of the default
+200 levels takes 1.0 ms and a 1000-level run 6.1 ms, against 1.5 and 10.3
+ms with a fresh layout per level, no bands and the bookkeeping in the loop.
 
 The test suite checks each kernel against a dense or direct oracle at 1e-12
 relative tolerance.

@@ -338,8 +338,8 @@ def test_lse_kernels_steep_offsets_match_dense():
 
 def test_lse_profile_banded_chunks_match_dense():
     # concave offsets, as -log G_j of a Bergman level: the sections within
-    # e^-505 of a node's dominant one form a band that moves with t, so the
-    # profile's row chunks multiply over different bands of sections
+    # e^FLOOR of a block's dominant one form a band that moves with t, so
+    # the profile's row chunks multiply over different bands of sections
     slopes = np.arange(0.0, 401.0)
     t, _, _, _ = _bergman_shaped(slopes)
     offsets = -0.1 * slopes**2
