@@ -18,9 +18,10 @@ divisor entering through its point masses; regularization belongs to the
 direct and p-step solves.  Everything is kept in log scale; Gram norms span
 hundreds of orders of magnitude by level 200.
 
-Quadrature runs on a widened copy of the working grid so that every Gram
-integrand has decayed below 1e-30 of its peak at the boundary; the driver
-verifies this guard on every level.
+:func:`bergman_step` is the one entry to a level's Gram norms, and one rule
+gives their integrands' decay rates: a step refuses a rate <= 0, and the run
+driver widens the quadrature grid so that every Gram integrand has decayed
+below 1e-30 of its peak at the boundary, verifying this guard on every level.
 """
 
 from __future__ import annotations
@@ -190,50 +191,50 @@ class BergmanLevel:
         return self.basis.level
 
 
-def gram_diagonal(basis: SectionBasis, chain: WeightChain,
-                  prev: Optional[BergmanLevel] = None, *,
-                  layout: Optional[BlockLayout] = None) -> np.ndarray:
-    """Log Gram norms of the monomial sections at one level.
+def _decay_rates(basis: SectionBasis, prev_slopes: tuple[float, float],
+                 tau: RadialWeight) -> tuple[float, float]:
+    """Decay rates at t -> -inf and t -> +inf of a level's slowest Gram
+    integrands, the window's end columns, given the previous kernel's end
+    slopes (zero at level 1) and the chain weight ``tau``."""
+    return (basis.j_min + 1.0 - prev_slopes[0] - tau.slope_minus,
+            -(basis.j_max + 1.0 - prev_slopes[1] - tau.slope_plus))
 
-    The inner product weight is the previous kernel times ``e^{-tau}``; the
-    measure picks up the canonical ``2 pi e^t dt`` pairing.  Off-diagonal
-    entries vanish identically by rotation symmetry and are not computed.
-    ``layout``, if given, is the kernels' block layout of the chain's nodes
-    for the basis exponents.
-    """
-    grid = chain.tau.grid
-    t = grid.nodes
-    kappa_prev = np.zeros(t.size) if prev is None else prev.kappa.values
-    s_min_prev = 0.0 if prev is None else prev.kappa.slope_minus
-    s_max_prev = 0.0 if prev is None else prev.kappa.slope_plus
 
-    lo = basis.j_min + 1.0 - s_min_prev - chain.tau.slope_minus
-    hi = basis.j_max + 1.0 - s_max_prev - chain.tau.slope_plus
-    if lo <= 0:
-        raise ConfigurationError(
-            f"gram integrand grows at t -> -inf (slope {lo}) at level {basis.level}")
-    if hi >= 0:
-        raise ConfigurationError(
-            f"gram integrand grows at t -> +inf (slope {hi}) at level {basis.level}")
-
+def _log_gram(basis: SectionBasis, chain: WeightChain,
+              prev: Optional[BergmanLevel], layout: BlockLayout) -> np.ndarray:
+    """Log Gram norms of a level: quadrature against the previous kernel times
+    ``e^{-tau}`` and ``2 pi e^t dt``; the integrand lives only in this call."""
+    t = chain.tau.grid.nodes
+    kappa_prev = 0.0 if prev is None else prev.kappa.values
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
-    return affine_lse_quadrature(t, grid.log_trapezoid_weights, basis.exponents,
-                                 np.zeros(basis.n_sections), base, layout=layout)
+    return affine_lse_quadrature(t, chain.tau.grid.log_trapezoid_weights,
+                                 basis.exponents, np.zeros(basis.n_sections),
+                                 base, layout=layout)
 
 
 def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
                  layout: Optional[BlockLayout] = None) -> BergmanLevel:
     """Advance the kernel recursion by one level (``prev=None`` starts at 1).
 
-    The Gram quadrature and the kernel profile run on the same nodes and
-    exponents, so they share one block layout: ``layout``, if given, must be
-    the kernels' layout of the chain's nodes for the level's exponents.
+    The level's Gram matrix is diagonal by rotation symmetry; a level whose
+    Gram integrands do not decay at both ends is refused.  ``layout``, if
+    given, must be the kernels' layout of the chain's nodes for the level's
+    exponents: the Gram quadrature and the kernel profile share it.
     """
     level = 1 if prev is None else prev.level + 1
     basis = _window(level, chain.p, chain.step_degree, chain.divisor)
+    prev_slopes = ((0.0, 0.0) if prev is None
+                   else (prev.kappa.slope_minus, prev.kappa.slope_plus))
+    lo, hi = _decay_rates(basis, prev_slopes, chain.tau)
+    if lo <= 0:
+        raise ConfigurationError(
+            f"gram integrand grows at t -> -inf (slope {lo}) at level {level}")
+    if hi <= 0:
+        raise ConfigurationError(
+            f"gram integrand grows at t -> +inf (slope {-hi}) at level {level}")
     grid = chain.tau.grid
     layout = layout or block_layout(grid.nodes, basis.exponents)
-    log_gram = gram_diagonal(basis, chain, prev, layout=layout)
+    log_gram = _log_gram(basis, chain, prev, layout)
     kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
                                     layout=layout)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
@@ -311,13 +312,10 @@ def quadrature_halfwidth(chain: WeightChain, ell_max: int) -> float:
     The slowest column decays at the minimal end-slope margin of the
     recursion; the peak location is bounded by a fixed core width.
     """
-    beta_lo, beta_hi = math.inf, math.inf
-    prev_lo, prev_hi = 0.0, 0.0
+    beta, prev_slopes = math.inf, (0.0, 0.0)
     for b in _windows(chain, ell_max):
-        beta_lo = min(beta_lo, b.j_min + 1.0 - prev_lo - chain.tau.slope_minus)
-        beta_hi = min(beta_hi, -(b.j_max + 1.0 - prev_hi - chain.tau.slope_plus))
-        prev_lo, prev_hi = float(b.j_min), float(b.j_max)
-    beta = min(beta_lo, beta_hi)
+        beta = min(beta, *_decay_rates(b, prev_slopes, chain.tau))
+        prev_slopes = (float(b.j_min), float(b.j_max))
     if beta <= 0.05:
         raise ConfigurationError(f"decay margin {beta} too small for quadrature")
     core = 12.0 + math.log1p(ell_max * chain.step_degree)

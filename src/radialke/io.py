@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .conventions import CONVENTIONS_HASH
+from .errors import ConfigurationError
 from .geometry import RadialWeight
 
 
@@ -49,11 +50,21 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and numeric rows of a CSV file; a file without either, with a
+    non-numeric cell or a row not of the header's length is refused."""
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    return header, data
+        lines = [ln.strip().split(",") for ln in f if ln.strip()]
+    if len(lines) < 2:
+        raise ConfigurationError(f"{path}: no {'data rows' if lines else 'header'}")
+    header, rows = lines[0], lines[1:]
+    for n, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            raise ConfigurationError(f"{path}: data row {n} has {len(cells)} "
+                                     f"cells, the header {len(header)}")
+    try:
+        return header, np.array([[float(x) for x in cells] for cells in rows])
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: non-numeric cell: {exc}") from None
 
 
 def write_json(path: str, payload: Mapping) -> None:

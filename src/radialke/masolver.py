@@ -94,9 +94,8 @@ class MAProblem:
     into it.  ``coupling``/``prev`` add the ``- c * u_prev`` term; ``prev =
     None`` stands for the background itself, so an uncoupled problem is the
     coupled one at ``coupling = 0``, where that term adds a signed zero.
-    ``frame_log`` holds the divisor frame logs at ``eps = 0`` when
-    :func:`ke_problem` built them for the twist slot; :meth:`with_twist`
-    passes them on, and any other problem builds its frame logs when asked.
+    The divisor frame logs are not stored: the twist slot's are built with
+    it, and :meth:`log_density_at_background` builds the density's.
     """
 
     background: RadialWeight
@@ -107,7 +106,6 @@ class MAProblem:
     coupling: float = 0.0
     prev: Optional[RadialWeight] = None
     recipe: Optional[Recipe] = None
-    frame_log: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
     mass: float = field(init=False)
 
     def __post_init__(self):
@@ -149,9 +147,8 @@ class MAProblem:
         """Log of the fixed measure; the solved density is this plus the
         bounded potential."""
         t = self.grid.nodes
-        frame_log = (divisor_frame_log(self.divisor, self.grid, self.eps)
-                     if self.frame_log is None else self.frame_log)
-        return (math.log(2.0 * math.pi) + frame_log
+        return (math.log(2.0 * math.pi)
+                + divisor_frame_log(self.divisor, self.grid, self.eps)
                 + self.background.values - self.twist.values + t
                 - self.coupling * self.prev.values)
 
@@ -173,16 +170,12 @@ class MAProblem:
     def with_twist(self, twist: RadialWeight) -> "MAProblem":
         """This problem with another raw twist, equal to the
         :func:`ke_problem` built with it; requires a :func:`ke_problem`
-        recipe.  The background and its checked mass and the frame logs
-        are shared, only the twist slot is assembled again."""
+        recipe.  The background and its checked mass are shared, only the
+        twist slot is assembled again."""
         r = self._ke_recipe("given another twist")
-        unfloored = (self.frame_log if self.eps == 0
-                     else divisor_frame_log(self.divisor, self.grid))
-        slot = _twist_slot(twist, self.divisor, self.grid, unfloored, self.eps,
-                           self.delta)
+        slot = _twist_slot(twist, self.divisor, self.grid, self.eps, self.delta)
         return MAProblem(self.background, slot, self.divisor, eps=self.eps,
-                         delta=self.delta, recipe=Recipe(r.k, twist),
-                         frame_log=self.frame_log)
+                         delta=self.delta, recipe=Recipe(r.k, twist))
 
 
 def _regularization_check(eps: float, delta: float) -> None:
@@ -222,18 +215,15 @@ def ke_problem(k: float, D: DivisorData | None = None,
     twist_raw = twist if twist is not None else fs_weight(k, grid)
 
     background = fs_weight(d_bg, grid) + divisor_log_weight(D, grid)
-    unfloored = readonly_array(divisor_frame_log(D, grid))
-    return MAProblem(background,
-                     _twist_slot(twist_raw, D, grid, unfloored, eps, delta),
-                     D, eps=eps, delta=delta, recipe=Recipe(float(k), twist_raw),
-                     frame_log=None if eps > 0 else unfloored)
+    return MAProblem(background, _twist_slot(twist_raw, D, grid, eps, delta),
+                     D, eps=eps, delta=delta, recipe=Recipe(float(k), twist_raw))
 
 
 def _twist_slot(twist: RadialWeight, D: DivisorData, grid: RadialGrid,
-                unfloored: np.ndarray, eps: float, delta: float) -> RadialWeight:
+                eps: float, delta: float) -> RadialWeight:
     """The twist slot of :func:`ke_problem`: the raw twist, mollified at
-    ``eps > 0``, plus the unfloored divisor frame logs ``unfloored``, less
-    the delta shift, with its slopes moved to match."""
+    ``eps > 0``, plus the unfloored divisor frame logs, less the delta shift,
+    with its slopes moved to match."""
     used = mollify_weight(twist, eps) if eps > 0 else twist
     a0 = float(D.coefficient("zero"))
     a_inf = float(D.coefficient("infinity"))
@@ -241,7 +231,7 @@ def _twist_slot(twist: RadialWeight, D: DivisorData, grid: RadialGrid,
     # while the background class shrinks, so the delta family solves the
     # same equation against moving backgrounds
     shift = delta * grid.fs_profile
-    return RadialWeight(grid, used.values + unfloored - shift,
+    return RadialWeight(grid, used.values + divisor_frame_log(D, grid) - shift,
                         used.slope_minus + a0, used.slope_plus - a_inf - delta,
                         used.degree)
 

@@ -130,9 +130,7 @@ def _smooth_chain(cache: dict) -> bergman.WeightChain:
 
 
 def _crit_gram_oracle(cache: dict) -> tuple[bool, dict]:
-    basis = bergman.section_range(1, 1, 4.0)
-    log_g = bergman.gram_diagonal(basis, _smooth_chain(cache), None)
-    got = np.exp(log_g)
+    got = np.exp(bergman.bergman_step(None, _smooth_chain(cache)).log_gram)
     expected = np.array([2.0 * math.pi / 3.0, math.pi / 3.0, 2.0 * math.pi / 3.0])
     rel = float(np.max(np.abs(got / expected - 1.0)))
     return rel <= 1e-8, {"gram": got.tolist(), "expected": expected.tolist(),

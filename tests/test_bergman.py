@@ -90,8 +90,7 @@ def test_section_count_formula(smooth_run):
 # ---------------------------------------------------------------------------
 
 def test_gram_beta_oracle(smooth_chain):
-    basis = bergman.section_range(1, 1, 4.0)
-    got = np.exp(bergman.gram_diagonal(basis, smooth_chain, None))
+    got = np.exp(bergman.bergman_step(None, smooth_chain).log_gram)
     expected = np.array([2 * math.pi / 3, math.pi / 3, 2 * math.pi / 3])
     np.testing.assert_allclose(got, expected, rtol=1e-8)
 
@@ -108,8 +107,7 @@ def test_gram_beta_oracle_against_quadrature():
 
 def test_gram_symmetry(smooth_chain):
     lv1 = bergman.bergman_step(None, smooth_chain)
-    basis = bergman.section_range(2, 1, 4.0)
-    log_g = bergman.gram_diagonal(basis, smooth_chain, lv1)
+    log_g = bergman.bergman_step(lv1, smooth_chain).log_gram
     np.testing.assert_allclose(log_g, log_g[::-1], rtol=1e-12)
 
 
@@ -118,7 +116,21 @@ def test_gram_integrability_guard(grid):
     bad_tau = geo.fs_weight(1.0, grid)  # too little decay for the top exponent
     bad_chain = dataclasses.replace(chain, tau=bad_tau)
     with pytest.raises(ConfigurationError, match="grows"):
-        bergman.gram_diagonal(bergman.section_range(1, 1, 4.0), bad_chain, None)
+        bergman.bergman_step(None, bad_chain)
+
+
+def test_decay_margin_below_quadrature_floor_refused():
+    # negative control of the 0.05 decay margin: with tau of degree 3.03 the
+    # top Gram integrand decays at rate 0.03 at every level, which one step
+    # accepts and the run's quadrature sizing refuses
+    grid = geo.make_grid(30.0, 257)
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=grid)
+    slow = dataclasses.replace(chain, tau=geo.fs_weight(3.03, grid))
+    lv = bergman.bergman_step(None, slow)
+    bergman.bergman_step(lv, slow)
+    with pytest.raises(ConfigurationError,
+                       match=r"decay margin 0\.0299\d* too small for quadrature"):
+        bergman.run_levels(slow, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +246,25 @@ def test_distances_decreasing(smooth_run):
     d = np.array(smooth_run.distances)
     assert d[-1] < 0.06
     assert np.all(np.diff(d[19:]) <= 1e-12)
+
+
+def test_convergence_check_flags_a_small_rise(smooth_chain):
+    # negative controls of the two 1e-12 slacks: a distance trace and a
+    # liminf slack trace that each rise by 1e-6 after level 20
+    ells = np.arange(1, 31)
+    distances = 1.0 / ells
+    slacks = 1e-3 / ells
+    run = bergman.BergmanRun(smooth_chain, distances=distances.tolist(),
+                             liminf_slacks=slacks.tolist())
+    out = bergman.convergence_check(run)
+    assert out["monotone"] and out["liminf_decreasing"]
+    distances[24] = distances[23] + 1e-6
+    slacks[-1] = slacks[19] + 1e-6
+    run = bergman.BergmanRun(smooth_chain, distances=distances.tolist(),
+                             liminf_slacks=slacks.tolist())
+    out = bergman.convergence_check(run)
+    assert not out["monotone"]
+    assert not out["liminf_decreasing"]
 
 
 def test_route_agreement(smooth_chain):
@@ -367,6 +398,20 @@ def test_c_ell_rejects_wrong_slopes(smooth_run, smooth_levels):
     bad_ref = (lv.level + 3.0) * smooth_run.chain.target.values
     with pytest.raises(ConfigurationError, match="slope"):
         bergman.c_ell_diagnostic(lv, bad_ref)
+
+
+def test_c_ell_rejects_a_small_slope_mismatch():
+    # negative control of the 1e-6 slope check: a reference whose slope at
+    # t -> -inf is off by 1e-3 moves the infimum to the grid's first node
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    run = bergman.run_levels(chain, 10)
+    lv = None
+    for _ in run.distances:
+        lv = bergman.bergman_step(lv, run.chain)
+    ref = lv.level * run.chain.target.values + bergman.frac_frame_log(lv.level, run.chain)
+    assert bergman.c_ell_diagnostic(lv, ref) == run.c_ells[-1]
+    with pytest.raises(ConfigurationError, match="slope mismatch at t -> -inf"):
+        bergman.c_ell_diagnostic(lv, ref - 1e-3 * run.grid.nodes)
 
 
 def test_build_chain_p2_conic_runs(grid):

@@ -415,6 +415,26 @@ def test_plotdata_missing_trace(tmp_path):
     assert run_cli(["plotdata", str(tmp_path / "nope.csv")]) == 2
 
 
+BERGMAN_HEADER = "ell,n_sections,log_gram_min,log_gram_max,sup_distance,chain_slack,c_ell\n"
+
+
+@pytest.mark.parametrize("text, problem", [
+    (BERGMAN_HEADER, "no data rows"),
+    ("", "no header"),
+    (BERGMAN_HEADER + "1,3,0.1,0.2,oops,0.0,0.5\n", "non-numeric cell"),
+    (BERGMAN_HEADER + "1,3,0.1,0.2,0.3\n", "data row 1 has 5 cells, the header 7"),
+], ids=["header-only", "empty", "non-numeric", "short-row"])
+def test_plotdata_refuses_malformed_trace(tmp_path, capsys, text, problem):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    with pytest.raises(ConfigurationError, match=problem) as exc:
+        emit_plotdata(str(trace), str(tmp_path / "plots"))
+    assert str(trace) in str(exc.value)
+    assert run_cli(["plotdata", str(trace), "--out", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {trace}: ")
+    assert not (tmp_path / "plots").exists()
+
+
 def test_solve_with_schedules_writes_diagonal(tmp_path):
     out = tmp_path / "diag"
     code = run_cli(["solve", "--out", str(out), "--N", "1024",
