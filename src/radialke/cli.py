@@ -323,10 +323,12 @@ def _run_bergman(cfg: dict, out: str) -> dict:
         verdicts["distance_decreasing"] = conv["monotone"]
     if not math.isnan(chain.route_agreement):
         verdicts["route_agreement"] = chain.route_agreement <= bergman.ROUTE_TOL
+    stride = bergman.stride_check(run)
+    verdicts["stride_certified"] = stride["holds"]
     write_json(os.path.join(out, "summary.json"),
                {"convergence": conv, "integral_chain": chain_cert,
                 "quadrature_half_width": run.grid.half_width,
-                "guard_margin": run.guard_margin})
+                "guard_margin": run.guard_margin, "stride": stride})
     return verdicts
 
 

@@ -88,12 +88,16 @@ Cost per call: one GEMM of at most ``2 n J`` flops and at most ``nb J`` exps
 (the quadrature adds ``nb J`` logs and ``n`` exps), where the dense form
 takes ``n J`` exps; a fresh layout adds ``B J`` exps, a table slice none.
 On a 2-CPU host with one BLAS thread, on the inputs of level 200 of the
-default run (11888 nodes x 401 sections), a profile call takes 0.37 ms
-(0.78 ms unbanded), a quadrature call 0.60 ms and ``block_layout`` 0.23 ms,
-against 4 us for a table slice; on those of level 1000 (12106 x 2001) 3.8,
-8.6 and 1.6 ms (profile 7.0 ms unbanded).  Per level, a run of the default
-200 levels takes 1.0 ms and a 1000-level run 6.1 ms, against 1.5 and 10.3
-ms with a fresh layout per level, no bands and the bookkeeping in the loop.
+default chain (N 4096, k 4, p 1) on its full widened grid (11888 nodes x
+401 sections; the grid of a stride-1 run and of a strided run's
+certificate), a profile call takes 0.37 ms (0.78 ms unbanded), a
+quadrature call 0.60 ms and ``block_layout`` 0.23 ms, against 4 us for a
+table slice; on the stride-3 grid the default 200-level run uses (3964 x
+401) 0.22, 0.34 and 0.15 ms.  On the inputs of level 1000 (12106 x 2001,
+stride 1) they take 3.8, 8.6 and 1.6 ms (profile 7.0 ms unbanded).  Per
+level, the default 200-level run takes 0.61 ms (1.0 ms on the full grid)
+and a 1000-level run 6.1 ms, against 1.5 and 10.3 ms on the full grid with
+a fresh layout per level, no bands and the bookkeeping in the loop.
 
 The test suite checks each kernel against a dense or direct oracle at 1e-12
 relative tolerance.

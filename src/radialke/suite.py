@@ -157,15 +157,16 @@ def _crit_bergman_convergence(cache: dict) -> tuple[bool, dict]:
     details = {}
     for name, (run, secs) in runs.items():
         check = bergman.convergence_check(run, monotone_from=20)
+        stride = bergman.stride_check(run)
         entry = {"final_distance": check["final_distance"],
                  "bound": bounds[name], "monotone_from_20": check["monotone"],
                  "route_agreement": check["route_agreement"],
-                 "seconds": secs}
+                 "stride": stride, "seconds": secs}
         details[name] = entry
         route_ok = (math.isnan(check["route_agreement"])
                     or check["route_agreement"] <= bergman.ROUTE_TOL)
         ok &= (check["final_distance"] <= bounds[name] and check["monotone"]
-               and secs < 300.0 and route_ok)
+               and secs < 300.0 and route_ok and stride["holds"])
     return ok, details
 
 

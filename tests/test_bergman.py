@@ -352,6 +352,95 @@ def test_run_numbers_match_stepped_levels(name, request):
         for lv in levels]
 
 
+# ---------------------------------------------------------------------------
+# stride
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, ell_max, degree, q", [
+    (4096, 100, 2, 5), (4096, 100, 4, 3), (4096, 200, 2, 3), (4096, 1000, 2, 1),
+    (1025, 12, 2, 4), (1025, 150, 2, 1), (257, 3, 2, 1), (1201, 1, 2, 5),
+    (4094, 100, 2, 1),
+], ids=["smooth-100", "p2-100", "smooth-200", "smooth-1000", "n1025-12",
+        "n1025-150", "n257-3-step-cap", "n1201-1-step-cap", "prime-n-1"])
+def test_stride_rule(n, ell_max, degree, q):
+    # the largest divisor of N - 1 within the budget and the step cap; N 4094
+    # has N - 1 = 4093 prime, so no stride above 1 divides it
+    grid = geo.make_grid(30.0, n)
+    assert bergman._stride(grid, ell_max, degree) == q
+    fits = lambda r: (r * grid.spacing <= bergman.STRIDE_STEP_MAX and
+                      (r * grid.spacing) ** 2 * ell_max * degree <= bergman.STRIDE_BUDGET)
+    assert (n - 1) % q == 0 and (q == 1 or fits(q))
+    assert not any((n - 1) % r == 0 and fits(r) for r in range(q + 1, n))
+
+
+def test_strided_run_keeps_every_qth_solve_node():
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    run = bergman.run_levels(chain, 12)
+    q = run.stride
+    assert q == 4
+    solve = chain.tau.grid.nodes
+    i0 = int(np.argmin(np.abs(run.grid.nodes - solve[0])))
+    kept = slice(i0, i0 + (solve.size - 1) // q + 1)
+    assert run.grid.nodes[kept].tobytes() == solve[::q].tobytes()
+    assert run.chain.tau.values[kept].tobytes() == chain.tau.values[::q].tobytes()
+    assert run.chain.target.values[kept].tobytes() == chain.target.values[::q].tobytes()
+    assert run.grid.spacing == pytest.approx(q * chain.tau.grid.spacing, rel=1e-14)
+    assert 0.0 < run.stride_difference <= bergman.STRIDE_TOL
+    assert bergman.stride_check(run)["holds"]
+
+
+def _full_widened_nodes(chain, ell_max):
+    return chain.tau.grid.widened(bergman.quadrature_halfwidth(chain, ell_max)).nodes
+
+
+def test_stride_one_runs_on_the_full_widened_grid(long_smooth_run):
+    # N 1025 to level 150: no stride above 1 fits, so the run is the
+    # full-grid run and has nothing to certify
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    assert long_smooth_run.stride == 1
+    assert long_smooth_run.stride_difference == 0.0
+    assert long_smooth_run.grid.nodes.tobytes() == _full_widened_nodes(chain, 150).tobytes()
+
+
+def test_prime_node_count_falls_back_to_stride_one():
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 4094))
+    run = bergman.run_levels(chain, 5)
+    assert run.grid.nodes.tobytes() == _full_widened_nodes(chain, 5).tobytes()
+    assert bergman.stride_check(run) == {
+        "stride": 1, "max_relative_log_gram_difference": 0.0,
+        "tolerance": bergman.STRIDE_TOL, "holds": True}
+
+
+@pytest.fixture(scope="module")
+def grid_4096():
+    return geo.make_grid(30.0, 4096)
+
+
+@pytest.mark.parametrize("p, D, q", [
+    (1, None, 5), (2, {"zero": "1/2"}, 3), (2, {"infinity": "1/2"}, 3),
+], ids=["smooth-p1", "half-zero-p2", "half-infinity-p2"])
+def test_stride_certified_on_the_benchmark_chains(grid_4096, p, D, q):
+    # the chains of the bergman benchmark workload, N 4096 to level 100
+    chain = bergman.build_chain(4.0, geo.divisor(**D) if D else None, p=p, m=1,
+                                grid=grid_4096)
+    run = bergman.run_levels(chain, 100)
+    assert run.stride == q
+    assert 0.0 < run.stride_difference <= bergman.STRIDE_TOL
+
+
+@pytest.mark.parametrize("q, low, high", [(9, 1e-12, 1e-11), (15, 1e-7, 1e-5)])
+def test_stride_certificate_refuses_a_coarse_stride(grid_4096, monkeypatch, q, low, high):
+    # negative controls of STRIDE_TOL: at stride 9 the smooth chain's level
+    # 100 Gram norms (about 400) are off by 6.7e-10, just past the tolerance,
+    # and at stride 15 by 6.5e-4
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=grid_4096)
+    monkeypatch.setattr(bergman, "_stride", lambda grid, ell_max, degree: q)
+    check = bergman.stride_check(bergman.run_levels(chain, 100))
+    assert check["stride"] == q
+    assert not check["holds"]
+    assert low < check["max_relative_log_gram_difference"] < high
+
+
 def test_finished_run_holds_no_level_profiles():
     # a run keeps per-level numbers, not levels: from 20 to 60 levels the
     # memory it holds grows by less than two profiles on its widened grid

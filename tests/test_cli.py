@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -390,6 +391,17 @@ def test_bergman_summary_reports_decay_order(tmp_path):
     assert np.isfinite(conv["decay_order"]) and conv["decay_order"] > 0
 
 
+def test_bergman_summary_reports_stride(tmp_path):
+    # N 1025 to level 5: every fourth node fits the stride rule
+    out = tmp_path / "berg"
+    assert run_cli(["bergman", "--out", str(out), "--ell-max", "5", "--N", "1025"]) == 0
+    stride = json.loads((out / "summary.json").read_text())["stride"]
+    assert stride["stride"] == 4 and stride["holds"] is True
+    assert 0.0 < stride["max_relative_log_gram_difference"] <= stride["tolerance"] == 1e-12
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verdicts"]["stride_certified"] is True
+
+
 @pytest.mark.parametrize("args", [["--ell-max", "2"]], ids=["two-levels"])
 def test_bergman_reports_no_unchecked_convergence(tmp_path, args):
     # the convergence certificate needs 3 levels
@@ -517,6 +529,23 @@ def test_solve_closed_form_error_fails_its_verdict(tmp_path, capsys, monkeypatch
     assert_only_failing(code, out, capsys, "closed_form_oracle")
 
 
+def test_closed_form_verdict_fails_just_past_its_tolerance(tmp_path, capsys, monkeypatch):
+    # negative control of CLOSED_FORM_TOL (1e-6): the solve, exact to 1.4e-14
+    # at N 257, shifted by 3e-6, inside the band a 10x looser tolerance admits
+    solve = cli.solve_ke_ode
+
+    def shifted(prob, **kw):
+        rep = solve(prob, **kw)
+        return dataclasses.replace(rep, potential=rep.potential + 3e-6)
+
+    monkeypatch.setattr(cli, "solve_ke_ode", shifted)
+    out = tmp_path / "solve"
+    code = run_cli(["solve", "--N", "257", "--out", str(out)])
+    assert_only_failing(code, out, capsys, "closed_form_oracle")
+    oracle = json.loads((out / "report.json").read_text())["oracle_error"]
+    assert 2.9e-6 < oracle < 3.1e-6
+
+
 def test_solve_unconverged_diagonal_fails_its_verdict(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(radialke.masolver.DiagonalResult, "converged",
                         property(lambda self: False))
@@ -529,6 +558,7 @@ def test_solve_unconverged_diagonal_fails_its_verdict(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("check,key,verdict", [
     ("integral_chain_check", "holds", "chain_inequality"),
     ("convergence_check", "monotone", "distance_decreasing"),
+    ("stride_check", "holds", "stride_certified"),
 ])
 def test_bergman_failing_certificate_fails_its_verdict(tmp_path, capsys, monkeypatch,
                                                        check, key, verdict):

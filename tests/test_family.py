@@ -188,6 +188,22 @@ def test_perturbed_positivity_certificate(perturbed):
     assert cert["tt_location"] is None and cert["det_location"] is None
 
 
+def test_positivity_fails_just_past_its_tolerance(product):
+    # negative control of POSITIVITY_TOL (1e-6): the solved product family,
+    # made concave along the base by -eps s^2 / 2, has det = -eps u_tt with
+    # u_tt at most 1, so eps = 3e-6 puts min det inside the band a 10x
+    # looser tolerance admits (the scale stays 1)
+    f, rel = product
+    u_tt = np.diff(rel.weights, 2, axis=0) / f.fiber_grid.spacing ** 2
+    eps = 3e-6 / float(np.max(u_tt))
+    bent = dataclasses.replace(rel, weights=rel.weights - 0.5 * eps * f.base_nodes ** 2)
+    cert = fam.base_positivity_check(bent)
+    assert cert["scale_det"] == 1.0
+    assert -3.1e-6 < cert["min_det"] < -2.9e-6
+    assert not cert["passed"]
+    assert cert["tt_location"] is None and cert["det_location"] is not None
+
+
 def test_control_family_fails_positivity():
     f = fam.build_family(fam.perturbed_family_recipe(4.0, -0.05), BASE_9,
                          GRID_257, bypass_precheck=True)

@@ -103,6 +103,19 @@ def test_convexity_flag_fails_for_concave_perturbation(grid):
     assert not bad.is_positively_curved()
 
 
+def test_convexity_flag_fails_just_past_its_tolerance(grid):
+    # negative control of TOL_CURV (1e-9): a Gaussian dent in the flat left
+    # tail of the model weight, where its own curvature is below 1e-10,
+    # brings the least second difference to about -3e-9, inside the band a
+    # 10x looser tolerance admits
+    w = geo.fs_weight(4.0, grid)
+    t = grid.nodes
+    dent = -6.7e-9 * np.exp(-0.5 * (t + 25.0) ** 2)
+    bad = geo.RadialWeight(grid, w.values + dent, 0.0, 4.0, 4.0)
+    assert -4e-9 < np.min(bad.second_differences()) < -2e-9
+    assert not bad.is_positively_curved()
+
+
 # ---------------------------------------------------------------------------
 # mass and Lelong numbers
 # ---------------------------------------------------------------------------
