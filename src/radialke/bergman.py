@@ -223,11 +223,12 @@ def _decay_rates(basis: SectionBasis, prev_slopes: tuple[float, float],
 
 
 def _log_gram(basis: SectionBasis, chain: WeightChain,
-              prev: Optional[BergmanLevel], layout: BlockLayout) -> np.ndarray:
-    """Log Gram norms of a level: quadrature against the previous kernel times
+              kappa_prev: float | np.ndarray,
+              layout: BlockLayout) -> np.ndarray:
+    """Log Gram norms of a level: quadrature against the previous kernel
+    ``kappa_prev`` (its values on the chain's grid; 0.0 at level 1) times
     ``e^{-tau}`` and ``2 pi e^t dt``; the integrand lives only in this call."""
     t = chain.tau.grid.nodes
-    kappa_prev = 0.0 if prev is None else prev.kappa.values
     base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
     return affine_lse_quadrature(t, chain.tau.grid.log_trapezoid_weights,
                                  basis.exponents, np.zeros(basis.n_sections),
@@ -256,7 +257,8 @@ def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
             f"gram integrand grows at t -> +inf (slope {-hi}) at level {level}")
     grid = chain.tau.grid
     layout = layout or block_layout(grid.nodes, basis.exponents)
-    log_gram = _log_gram(basis, chain, prev, layout)
+    log_gram = _log_gram(basis, chain, 0.0 if prev is None else prev.kappa.values,
+                         layout)
     kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
                                     layout=layout)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
@@ -377,6 +379,7 @@ def _strided(chain: WeightChain, q: int) -> WeightChain:
 
 
 def _widened(chain: WeightChain, half_width: float) -> WeightChain:
+    """The chain resampled on its grid widened to ``half_width``."""
     wide = chain.tau.grid.widened(half_width)
     return replace(chain, tau=chain.tau.resampled(wide),
                    target=chain.target.resampled(wide))
@@ -389,11 +392,9 @@ def _stride_difference(chain: WeightChain, prev: Optional[BergmanLevel],
     largest magnitude.  One profile call (``kappa`` of ``prev`` on the new
     grid) and one quadrature call."""
     t = chain.tau.grid.nodes
-    if prev is not None:
-        kappa = affine_lse_profile(t, prev.basis.exponents, -prev.log_gram)
-        prev = replace(prev, kappa=replace(prev.kappa, grid=chain.tau.grid,
-                                           values=kappa))
-    full = _log_gram(last.basis, chain, prev, block_layout(t, last.basis.exponents))
+    kappa = (0.0 if prev is None
+             else affine_lse_profile(t, prev.basis.exponents, -prev.log_gram))
+    full = _log_gram(last.basis, chain, kappa, block_layout(t, last.basis.exponents))
     return float(np.max(np.abs(full - last.log_gram))
                  / np.max(np.abs(last.log_gram)))
 
