@@ -190,9 +190,9 @@ def test_perturbed_positivity_certificate(perturbed):
 
 def test_positivity_fails_just_past_its_tolerance(product):
     # negative control of POSITIVITY_TOL (1e-6): the solved product family,
-    # made concave along the base by -eps s^2 / 2, has det = -eps u_tt with
-    # u_tt at most 1, so eps = 3e-6 puts min det inside the band a 10x
-    # looser tolerance admits (the scale stays 1)
+    # made concave along the base by -eps s^2 / 2, has det = -eps u_tt, so
+    # eps = 3e-6 / max u_tt puts min det at -3e-6 (the scale stays 1),
+    # inside the band a 10x looser tolerance admits
     f, rel = product
     u_tt = np.diff(rel.weights, 2, axis=0) / f.fiber_grid.spacing ** 2
     eps = 3e-6 / float(np.max(u_tt))
