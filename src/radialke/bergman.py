@@ -152,14 +152,14 @@ class WeightChain:
     built from the previous singular iteration step and the convergence
     target, both on the chain's grid, the degree ``p (k - 2)`` each level
     adds, and at ``p = 1`` the target's sup distance to a direct solve
-    (NaN otherwise)."""
+    (None otherwise)."""
 
     p: int
     divisor: DivisorData
     tau: RadialWeight
     target: RadialWeight
     step_degree: int
-    route_agreement: float
+    route_agreement: Optional[float]
 
 
 def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
@@ -188,7 +188,7 @@ def build_chain(k: float, D: DivisorData | None = None, p: int = 1,
            + state.problem.recipe.twist).shifted(-math.log(p))
     target = w_m + div_weight.scaled(float(p))
 
-    route = float("nan")
+    route = None
     if p == 1:
         ke = solve_ke_ode(ke_problem(k, D, grid, twist=twist))
         route = float(np.max(np.abs(target.values - ke.solution.values)))
@@ -222,15 +222,15 @@ def _decay_rates(basis: SectionBasis, prev_slopes: tuple[float, float],
             -(basis.j_max + 1.0 - prev_slopes[1] - tau.slope_plus))
 
 
-def _log_gram(basis: SectionBasis, chain: WeightChain,
+def _log_gram(basis: SectionBasis, tau: RadialWeight,
               kappa_prev: float | np.ndarray,
               layout: BlockLayout) -> np.ndarray:
     """Log Gram norms of a level: quadrature against the previous kernel
-    ``kappa_prev`` (its values on the chain's grid; 0.0 at level 1) times
+    ``kappa_prev`` (its values on ``tau``'s grid; 0.0 at level 1) times
     ``e^{-tau}`` and ``2 pi e^t dt``; the integrand lives only in this call."""
-    t = chain.tau.grid.nodes
-    base = -kappa_prev - chain.tau.values + t + math.log(2.0 * math.pi)
-    return affine_lse_quadrature(t, chain.tau.grid.log_trapezoid_weights,
+    t = tau.grid.nodes
+    base = -kappa_prev - tau.values + t + math.log(2.0 * math.pi)
+    return affine_lse_quadrature(t, tau.grid.log_trapezoid_weights,
                                  basis.exponents, np.zeros(basis.n_sections),
                                  base, layout=layout)
 
@@ -257,8 +257,8 @@ def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
             f"gram integrand grows at t -> +inf (slope {-hi}) at level {level}")
     grid = chain.tau.grid
     layout = layout or block_layout(grid.nodes, basis.exponents)
-    log_gram = _log_gram(basis, chain, 0.0 if prev is None else prev.kappa.values,
-                         layout)
+    log_gram = _log_gram(basis, chain.tau,
+                         0.0 if prev is None else prev.kappa.values, layout)
     kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
                                     layout=layout)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
@@ -379,22 +379,21 @@ def _strided(chain: WeightChain, q: int) -> WeightChain:
 
 
 def _widened(chain: WeightChain, half_width: float) -> WeightChain:
-    """The chain resampled on its grid widened to ``half_width``."""
-    wide = chain.tau.grid.widened(half_width)
-    return replace(chain, tau=chain.tau.resampled(wide),
-                   target=chain.target.resampled(wide))
+    """The chain on its grid widened to ``half_width``."""
+    return replace(chain, tau=chain.tau.widened(half_width),
+                   target=chain.target.widened(half_width))
 
 
-def _stride_difference(chain: WeightChain, prev: Optional[BergmanLevel],
+def _stride_difference(tau: RadialWeight, prev: Optional[BergmanLevel],
                        last: BergmanLevel) -> float:
-    """Level ``last`` redone on ``chain``'s grid from ``prev``'s log Gram
+    """Level ``last`` redone on ``tau``'s grid from ``prev``'s log Gram
     norms: the largest difference of its log Gram norms, relative to their
     largest magnitude.  One profile call (``kappa`` of ``prev`` on the new
     grid) and one quadrature call."""
-    t = chain.tau.grid.nodes
+    t = tau.grid.nodes
     kappa = (0.0 if prev is None
              else affine_lse_profile(t, prev.basis.exponents, -prev.log_gram))
-    full = _log_gram(last.basis, chain, kappa, block_layout(t, last.basis.exponents))
+    full = _log_gram(last.basis, tau, kappa, block_layout(t, last.basis.exponents))
     return float(np.max(np.abs(full - last.log_gram))
                  / np.max(np.abs(last.log_gram)))
 
@@ -465,7 +464,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         run.c_ells.append(c_ell_diagnostic(lv, ell * target + frames[residue]))
         before, prev = prev, lv
     if q > 1:
-        run.stride_difference = _stride_difference(_widened(chain, half_width),
+        run.stride_difference = _stride_difference(chain.tau.widened(half_width),
                                                    before, prev)
     return run
 
@@ -485,7 +484,7 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
     distance trace decreases monotonically from ``monotone_from`` on, the
     one-sided slack trend below the target, and ``decay_order``: the
     least-squares slope of ``-log(distance)`` against ``log(level)`` over the
-    same tail (NaN with fewer than three points there).
+    same tail (None with fewer than three points there).
     """
     if len(run.distances) < 3:
         raise ConfigurationError("convergence check needs at least three levels")
@@ -494,7 +493,7 @@ def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:
     steps = np.diff(d[start:])
     monotone = bool(np.all(steps <= 1e-12)) if steps.size else True
     slack = np.array(run.liminf_slacks)
-    order = float("nan")
+    order = None
     if d.size - start >= 3:
         ells = np.arange(start + 1, d.size + 1)
         order = float(np.polyfit(np.log(ells), -np.log(d[start:]), 1)[0])

@@ -321,7 +321,7 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     verdicts = {"chain_inequality": chain_cert["holds"]}
     if conv:
         verdicts["distance_decreasing"] = conv["monotone"]
-    if not math.isnan(chain.route_agreement):
+    if chain.route_agreement is not None:
         verdicts["route_agreement"] = chain.route_agreement <= bergman.ROUTE_TOL
     stride = bergman.stride_check(run)
     verdicts["stride_certified"] = stride["holds"]

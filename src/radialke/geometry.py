@@ -93,12 +93,12 @@ class RadialGrid:
         return (self.nodes >= lo) & (self.nodes <= hi)
 
     def widened(self, half_width: float) -> "RadialGrid":
-        """Extend to at least ``half_width`` by whole steps at both ends,
-        keeping the original nodes as an exact subset."""
-        if half_width <= self.half_width:
-            return self
+        """Extend to at least ``half_width`` by whole steps at both ends, or
+        ``self`` if no step is needed; the original nodes stay an exact subset."""
         h = self.spacing
         n_ext = int(np.ceil((half_width - self.half_width) / h - 1e-12))
+        if n_ext <= 0:
+            return self
         left = self.nodes[0] - h * np.arange(n_ext, 0, -1)
         right = self.nodes[-1] + h * np.arange(1, n_ext + 1)
         nodes = np.concatenate([left, self.nodes, right])
@@ -217,30 +217,22 @@ class RadialWeight:
     def is_positively_curved(self, tol: float = TOL_CURV) -> bool:
         return bool(np.min(self.second_differences()) >= -tol)
 
-    def resampled(self, grid: RadialGrid) -> "RadialWeight":
-        """Transfer to a wider grid built by :meth:`RadialGrid.widened`.
+    def widened(self, half_width: float) -> "RadialWeight":
+        """This weight on its grid widened by :meth:`RadialGrid.widened`
+        (``self`` if that adds no node).
 
-        Inside the original window the nodes match exactly; outside, the
-        profile continues along its asymptotic slopes, which is exact up to
-        the exponentially small tail of the bounded part.  A widened copy
-        keeps no analytic ``curvature``.
+        The original nodes keep their values; the added ones continue along
+        the asymptotic slopes, which is exact up to the exponentially small
+        tail of the bounded part.  A widened copy keeps no ``curvature``.
         """
-        if grid.node_count == self.grid.node_count and \
-                np.array_equal(grid.nodes, self.grid.nodes):
+        grid = self.grid.widened(half_width)
+        if grid is self.grid:
             return self
-        t = grid.nodes
-        told = self.grid.nodes
-        vals = np.empty(t.size)
-        left = t < told[0] - 1e-12
-        right = t > told[-1] + 1e-12
-        mid = ~(left | right)
-        i0 = int(np.argmax(mid))
-        n_mid = int(np.sum(mid))
-        if n_mid != told.size or not np.allclose(t[i0:i0 + n_mid], told, atol=1e-9):
-            raise ConfigurationError("resampling target must extend the grid by whole steps")
-        vals[mid] = self.values
-        vals[left] = self.values[0] + self.slope_minus * (t[left] - told[0])
-        vals[right] = self.values[-1] + self.slope_plus * (t[right] - told[-1])
+        n = (grid.node_count - self.grid.node_count) // 2
+        t, told = grid.nodes, self.grid.nodes
+        vals = np.concatenate([self.values[0] + self.slope_minus * (t[:n] - told[0]),
+                               self.values,
+                               self.values[-1] + self.slope_plus * (t[-n:] - told[-1])])
         return RadialWeight(grid, vals, self.slope_minus, self.slope_plus,
                             self.degree)
 

@@ -80,9 +80,14 @@ sections within ``e^FLOOR`` of a block's dominant one form a band that
 moves with the block.  So each of its chunks exponentiates and multiplies
 only the band from the first to the last section that survives ``FLOOR``
 in one of its rows, read from the ``< FLOOR`` mask.  The columns left out
-are exact zeros, and the banded products gave the bits of the full ones in
-every Bergman run compared (OpenBLAS 0.3.31).  A call of one chunk skips
-the search, which there costs more than it saves.
+are exact zeros, but a shorter product may sum in another order: the
+benchmark's 100-level chains and the default 200-level run keep the full
+products' bits (OpenBLAS 0.3.31), and a 1000-level run's log Gram norms
+move by at most one unit in the last place.
+A call of one chunk skips the search, which there costs more than it
+saves.  The search pays on long runs only: a 1000-level ``run_levels``
+takes 5.0 s of CPU time against 6.0 s with full products, while at 100
+and 200 levels the difference is below the run-to-run spread.
 
 Cost per call: one GEMM of at most ``2 n J`` flops and at most ``nb J`` exps
 (the quadrature adds ``nb J`` logs and ``n`` exps), where the dense form
@@ -96,8 +101,7 @@ table slice; on the stride-3 grid the default 200-level run uses (3964 x
 401) 0.22, 0.34 and 0.15 ms.  On the inputs of level 1000 (12106 x 2001,
 stride 1) they take 3.8, 8.6 and 1.6 ms (profile 7.0 ms unbanded).  Per
 level, the default 200-level run takes 0.61 ms (1.0 ms on the full grid)
-and a 1000-level run 6.1 ms, against 1.5 and 10.3 ms on the full grid with
-a fresh layout per level, no bands and the bookkeeping in the loop.
+and a 1000-level run 6.1 ms.
 
 The test suite checks each kernel against a dense or direct oracle at 1e-12
 relative tolerance.

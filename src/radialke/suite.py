@@ -163,7 +163,7 @@ def _crit_bergman_convergence(cache: dict) -> tuple[bool, dict]:
                  "route_agreement": check["route_agreement"],
                  "stride": stride, "seconds": secs}
         details[name] = entry
-        route_ok = (math.isnan(check["route_agreement"])
+        route_ok = (check["route_agreement"] is None
                     or check["route_agreement"] <= bergman.ROUTE_TOL)
         ok &= (check["final_distance"] <= bounds[name] and check["monotone"]
                and secs < 300.0 and route_ok and stride["holds"])

@@ -168,6 +168,23 @@ NOT_NUMBERS_OF_THEIR_TYPE = [
 ]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_json_output_parses_strictly(tmp_path, kind):
+    # RFC 8259 JSON has no NaN or Infinity.  At p 2 a bergman run has no
+    # route comparison, and to level 5 no decay order: both are null
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    cfg = tmp_path / "cfg.json"
+    extra = {"p": 2, "divisor_zero": "1/2"} if kind == "bergman" else {}
+    cfg.write_text(json.dumps(SMALL[kind] | extra))
+    out = tmp_path / "x"
+    assert run_cli([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    files = sorted(out.glob("*.json"))
+    assert out / "manifest.json" in files
+    for path in files:
+        json.loads(path.read_text(), parse_constant=refuse)
+
+
 @pytest.mark.parametrize("kind,key,value", NOT_NUMBERS_OF_THEIR_TYPE)
 def test_fractional_or_boolean_number_is_config_error_from_file(tmp_path, capsys,
                                                                  kind, key, value):

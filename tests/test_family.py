@@ -401,6 +401,19 @@ def test_ns_convexity_perturbed(perturbed):
             assert cert["min_second_diff"] >= -1e-8
 
 
+def test_ns_convexity_fails_just_past_its_tolerance():
+    # negative control of NS_CONVEXITY_TOL (1e-8): the product family's
+    # twists, each lowered by the constant eps s^2 / 2 of its fiber, lower
+    # -log of every section norm by m eps s^2 / 2, so eps = 3e-8 puts the
+    # least second difference at -3e-8 for m = 1, inside the band a 10x
+    # looser tolerance admits
+    f = fam.build_family(fam.product_family_recipe(4.0), BASE_9, GRID_257)
+    bent = dataclasses.replace(f, twists=f.twists - 1.5e-8 * f.base_nodes[:, None] ** 2)
+    cert = fam.ns_convexity_check(1, 1, bent)
+    assert -3.1e-8 < cert["min_second_diff"] < -2.9e-8
+    assert not cert["passed"]
+
+
 def test_ns_convexity_rejects_bad_exponents(product):
     f, _ = product
     with pytest.raises(ConfigurationError, match="outside section window"):

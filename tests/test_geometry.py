@@ -49,6 +49,19 @@ def test_widened_keeps_nodes(grid):
     assert wide.half_width >= 45.0
     i0 = np.argmax(wide.nodes >= grid.nodes[0] - 1e-12)
     np.testing.assert_array_equal(wide.nodes[i0:i0 + grid.node_count], grid.nodes)
+    assert grid.widened(grid.half_width) is grid
+    # a weight widens onto the same nodes: the old values keep their bytes,
+    # the new ones continue along the declared slopes (1/2 and 7/2 here)
+    w = geo.fs_weight(3.0, grid) + geo.divisor_log_weight(geo.divisor(zero="1/2"), grid)
+    ww = w.widened(45.0)
+    np.testing.assert_array_equal(ww.grid.nodes, wide.nodes)
+    assert ww.values[i0:i0 + grid.node_count].tobytes() == w.values.tobytes()
+    steps = np.diff(ww.values) / wide.spacing
+    np.testing.assert_allclose(steps[:i0], w.slope_minus, rtol=1e-12)
+    np.testing.assert_allclose(steps[i0 + grid.node_count - 1:], w.slope_plus, rtol=1e-12)
+    assert (ww.slope_minus, ww.slope_plus, ww.degree) == (0.5, 3.5, 3.5)
+    assert w.curvature is not None and ww.curvature is None
+    assert w.widened(grid.half_width) is w and w.widened(1.0) is w
 
 
 def test_grid_fs_profile_computed_once_and_readonly():

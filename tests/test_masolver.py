@@ -171,6 +171,19 @@ def test_newton_reports_divergence(grid, monkeypatch):
     assert err.value.residual is not None
 
 
+def test_newton_stopped_just_past_default_tol_raises(monkeypatch):
+    # negative control of DEFAULT_TOL (1e-10): four Newton steps leave this
+    # solve at residual 5.6e-10, inside the band a 10x looser tolerance
+    # admits; the fifth step reaches it
+    prob = ma.ke_problem(5.0, geo.divisor(zero="1/2"), geo.make_grid(30.0, 257))
+    monkeypatch.setattr(ma, "MAX_NEWTON_ITER", 4)
+    with pytest.raises(ConvergenceError) as err:
+        ma.solve_ke_ode(prob)
+    assert 5e-10 < err.value.residual < 6e-10
+    monkeypatch.setattr(ma, "MAX_NEWTON_ITER", 5)
+    assert ma.solve_ke_ode(prob).residual <= 1e-10
+
+
 def test_nan_twist_raises_instead_of_returning_nan():
     # a NaN residual is not within tol; it used to come back as a report
     # with residual and integral NaN after 0 iterations

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,14 @@ def test_trace_ratios_and_violations_follow_from_gaps():
     trace = ricci.RicciTrace(0.501, gaps=[1.0, 0.5, 0.3, 0.2])
     assert trace.ratios == [0.5, 0.6, 0.2 / 0.3]
     assert trace.violations == [3, 4]
+
+
+def test_ratio_violation_listed_just_past_its_slack(smooth_run):
+    # negative control of RATIO_SLACK (1e-3): the p = 2 run's trace with one
+    # step of ratio 0.5 + 3e-3, inside the band a 10x looser slack admits
+    _, trace = smooth_run
+    assert not trace.violations
+    assert dataclasses.replace(trace, gaps=[1.0, 0.5 + 3e-3]).violations == [2]
 
 
 def test_fixed_point_residual_small_at_convergence(grid, smooth_run):
