@@ -300,8 +300,9 @@ def c_ell_diagnostic(level: BergmanLevel, reference: np.ndarray) -> float:
 class BergmanRun:
     """Per-level numbers of a kernel recursion, not its levels.
 
-    ``chain`` is the strided, widened chain the levels ran on: stepping
-    :func:`bergman_step` on it reproduces any level bit for bit.
+    ``chain`` is the strided, widened chain the levels ran on, its tau and
+    target on one grid: stepping :func:`bergman_step` on it reproduces any
+    level bit for bit.
     ``log_gram_ranges`` holds each level's (min, max) log Gram norm.
     ``stride`` is the q whose every q-th solve-grid node the run kept, and
     ``stride_difference`` the largest difference of the last level's log
@@ -322,7 +323,8 @@ class BergmanRun:
 
     @property
     def grid(self) -> RadialGrid:
-        """The strided, widened quadrature grid the levels ran on."""
+        """The strided, widened quadrature grid the levels ran on, shared by
+        the chain's tau and target."""
         return self.chain.tau.grid
 
     def chain_slacks(self) -> np.ndarray:
@@ -366,22 +368,16 @@ def _stride(grid: RadialGrid, ell_max: int, step_degree: int) -> int:
     return next((q for q in range(top, 1, -1) if n % q == 0 and fits(q)), 1)
 
 
-def _strided(chain: WeightChain, q: int) -> WeightChain:
+def _run_chain(chain: WeightChain, q: int, half_width: float) -> WeightChain:
     """The chain on every ``q``-th node of its grid, a uniform grid of the
-    same half width since ``q`` divides ``N - 1``."""
-    if q == 1:
-        return chain
-    sub = RadialGrid(half_width=chain.tau.grid.half_width,
-                     nodes=chain.tau.grid.nodes[::q])
-    thin = lambda w: RadialWeight(sub, w.values[::q], w.slope_minus,
-                                  w.slope_plus, w.degree)
-    return replace(chain, tau=thin(chain.tau), target=thin(chain.target))
-
-
-def _widened(chain: WeightChain, half_width: float) -> WeightChain:
-    """The chain on its grid widened to ``half_width``."""
-    return replace(chain, tau=chain.tau.widened(half_width),
-                   target=chain.target.widened(half_width))
+    same half width since ``q`` divides ``N - 1``, widened to
+    ``half_width``: tau and the target on one shared widened grid."""
+    grid = chain.tau.grid
+    sub = RadialGrid(half_width=grid.half_width, nodes=grid.nodes[::q])
+    wide = sub.widened(half_width)
+    onto = lambda w: RadialWeight(sub, w.values[::q], w.slope_minus,
+                                  w.slope_plus, w.degree).widened(wide)
+    return replace(chain, tau=onto(chain.tau), target=onto(chain.target))
 
 
 def _stride_difference(tau: RadialWeight, prev: Optional[BergmanLevel],
@@ -403,7 +399,8 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
 
     The levels run on every q-th node of the chain's grid, widened, with q
     from :func:`_stride` (1, the full grid, if no larger divisor of
-    ``N - 1`` fits the budget); ``run.chain`` is that strided, widened chain.
+    ``N - 1`` fits the budget); ``run.chain`` is that strided, widened chain,
+    built by :func:`_run_chain` with tau and the target on one grid.
     At q > 1 the run certifies its stride once, at its last level: it
     evaluates ``kappa_{l_max - 1}`` on the full widened grid from its log
     Gram norms and redoes level ``l_max``'s quadrature there
@@ -424,7 +421,7 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
     half_width = quadrature_halfwidth(chain, ell_max)
     q = _stride(chain.tau.grid, ell_max, chain.step_degree)
-    chain_w = _widened(_strided(chain, q), half_width)
+    chain_w = _run_chain(chain, q, half_width)
     run = BergmanRun(chain_w, stride=q)
     wide = chain_w.tau.grid
     t = wide.nodes
@@ -464,8 +461,8 @@ def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
         run.c_ells.append(c_ell_diagnostic(lv, ell * target + frames[residue]))
         before, prev = prev, lv
     if q > 1:
-        run.stride_difference = _stride_difference(chain.tau.widened(half_width),
-                                                   before, prev)
+        tau = chain.tau.widened(chain.tau.grid.widened(half_width))
+        run.stride_difference = _stride_difference(tau, before, prev)
     return run
 
 

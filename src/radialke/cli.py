@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -172,17 +171,11 @@ def validate_config(cfg: dict) -> None:
     unknown = set(cfg.get("criteria") or ()) - {cid for cid, _, _ in suite.CRITERIA}
     if unknown:
         raise ConfigurationError(f"unknown criteria in 'criteria': {sorted(unknown)}")
-    for key in ("divisor_zero", "divisor_infinity", "a0"):
-        if key in cfg:
-            try:
-                Fraction(cfg[key])
-            except (ValueError, ZeroDivisionError):
-                raise ConfigurationError(f"config key {key!r} is not a rational: "
-                                         f"{cfg[key]!r}")
     # the cheap objects the run builds first, so their own checks refuse
-    # the inputs outside the theory before any compute: adjoint degrees,
-    # density slopes, the background's curvature mass (which fails on a grid
-    # too coarse or too short for the profile), a family's joint positivity
+    # the inputs outside the theory before any compute: divisor
+    # coefficients, adjoint degrees, density slopes, the background's
+    # curvature mass (which fails on a grid too coarse or too short for the
+    # profile), a family's joint positivity
     if cfg["kind"] == "family":
         recipe = _recipe_from(cfg)
         ke_problem(recipe.k, recipe.divisor, make_grid(cfg["T"], cfg["fiber_n"]))
@@ -201,8 +194,7 @@ def validate_config(cfg: dict) -> None:
 
 
 def _divisor_from(cfg: dict) -> DivisorData:
-    return divisor(zero=Fraction(cfg["divisor_zero"]),
-                   infinity=Fraction(cfg["divisor_infinity"]))
+    return divisor(zero=cfg["divisor_zero"], infinity=cfg["divisor_infinity"])
 
 
 def _recipe_constructor(name: str):
@@ -401,7 +393,6 @@ def emit_plotdata(trace_path: str, out: str) -> str:
     if not os.path.exists(trace_path):
         raise ConfigurationError(f"trace file not found: {trace_path}")
     header, data = read_csv(trace_path)
-    os.makedirs(out, exist_ok=True)
     if header[:3] == ["m", "gap", "ratio"]:
         gaps = data[:, 1]
         bound = np.full(gaps.size, np.nan)

@@ -217,15 +217,15 @@ class RadialWeight:
     def is_positively_curved(self, tol: float = TOL_CURV) -> bool:
         return bool(np.min(self.second_differences()) >= -tol)
 
-    def widened(self, half_width: float) -> "RadialWeight":
-        """This weight on its grid widened by :meth:`RadialGrid.widened`
-        (``self`` if that adds no node).
+    def widened(self, grid: RadialGrid) -> "RadialWeight":
+        """This weight on ``grid``, its own grid widened by
+        :meth:`RadialGrid.widened` (``self`` if that added no node), so that
+        weights on one grid widen onto one shared grid.
 
         The original nodes keep their values; the added ones continue along
         the asymptotic slopes, which is exact up to the exponentially small
         tail of the bounded part.  A widened copy keeps no ``curvature``.
         """
-        grid = self.grid.widened(half_width)
         if grid is self.grid:
             return self
         n = (grid.node_count - self.grid.node_count) // 2
@@ -319,8 +319,9 @@ class DivisorData:
 
     Coefficients are exact rationals so that level arithmetic downstream
     (ceilings of multiples) is exact; Fractions, strings and floats are
-    coerced.  Frames are fixed to the Fubini-Study frames, under which both
-    section norms lie in (0, 1).
+    coerced, and what is not a finite rational >= 0 is refused.  Frames are
+    fixed to the Fubini-Study frames, under which both section norms lie in
+    (0, 1).
     """
 
     zero: Fraction = Fraction(0)
@@ -328,9 +329,14 @@ class DivisorData:
 
     def __post_init__(self):
         for loc in ("zero", "infinity"):
-            coeff = Fraction(getattr(self, loc))
-            if coeff < 0:
-                raise ConfigurationError("divisor coefficients must be >= 0")
+            value = getattr(self, loc)
+            try:
+                coeff = Fraction(value)
+                if coeff < 0:
+                    raise ValueError(value)
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ConfigurationError(f"divisor coefficient at {loc} must be a "
+                                         f"finite rational >= 0, got {value!r}") from None
             object.__setattr__(self, loc, coeff)
 
     @property

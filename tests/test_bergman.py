@@ -115,8 +115,13 @@ def test_gram_integrability_guard(grid):
     chain = bergman.build_chain(4.0, None, p=1, m=1, grid=grid)
     bad_tau = geo.fs_weight(1.0, grid)  # too little decay for the top exponent
     bad_chain = dataclasses.replace(chain, tau=bad_tau)
-    with pytest.raises(ConfigurationError, match="grows"):
+    with pytest.raises(ConfigurationError, match=r"grows at t -> \+inf"):
         bergman.bergman_step(None, bad_chain)
+    # tau rising at slope 1 at t -> -inf leaves the level-1 column j = 0
+    # no decay there
+    flat_end = dataclasses.replace(chain, tau=dataclasses.replace(chain.tau, slope_minus=1.0))
+    with pytest.raises(ConfigurationError, match=r"grows at t -> -inf \(slope 0\.0\) at level 1"):
+        bergman.bergman_step(None, flat_end)
 
 
 def test_decay_margin_below_quadrature_floor_refused():
@@ -131,6 +136,17 @@ def test_decay_margin_below_quadrature_floor_refused():
     with pytest.raises(ConfigurationError,
                        match=r"decay margin 0\.0299\d* too small for quadrature"):
         bergman.run_levels(slow, 5)
+
+
+def test_decay_guard_refuses_an_unwidened_grid(monkeypatch):
+    # negative control of the decay guard: on the solve grid's own half width
+    # of 30 the level-1 Gram integrands are far above 1e-30 of their peak at
+    # the ends
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 257))
+    monkeypatch.setattr(bergman, "quadrature_halfwidth",
+                        lambda chain, ell_max: chain.tau.grid.half_width)
+    with pytest.raises(ConfigurationError, match="decay guard violated at level 1"):
+        bergman.run_levels(chain, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +302,14 @@ def test_convergence_decay_order(smooth_run, smooth_chain):
 
 
 def test_run_grid_is_the_resampled_chain_grid(smooth_run, smooth_chain):
-    assert smooth_run.grid is smooth_run.chain.tau.grid
-    assert smooth_run.grid.half_width > smooth_chain.tau.grid.half_width
+    # tau and the target share the run's one widened grid, at stride 1
+    # (N 2048 to level 40) and at stride 4 (N 1025 to level 12)
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+    for run, source, q in ((smooth_run, smooth_chain, 1),
+                           (bergman.run_levels(chain, 12), chain, 4)):
+        assert run.stride == q
+        assert run.grid is run.chain.tau.grid is run.chain.target.grid
+        assert run.grid.half_width > source.tau.grid.half_width
 
 
 def test_convergence_check_needs_three_levels(smooth_chain):

@@ -17,7 +17,7 @@ from radialke.conventions import CONVENTIONS_HASH
 from radialke.errors import ConfigurationError
 from radialke.family import conic_family_recipe, perturbed_family_recipe
 from radialke.geometry import divisor
-from radialke.io import read_csv
+from radialke.io import atomic_write_text, read_csv
 
 
 def run_cli(args):
@@ -128,13 +128,32 @@ def test_empty_base_range_is_config_error(tmp_path, capsys, lo, hi):
     ["family", "--amplitude", "-0.05"],
     ["family", "--base-count", "-1"],
     ["bergman", "--k", "3", "--divisor-zero", "9/20", "--divisor-infinity", "9/20"],
+    ["solve", "--divisor-zero", "abc"],
+    ["bergman", "--divisor-infinity", "1/0"],
+    ["family", "--recipe", "conic", "--a0", "nan"],
+    ["ricci", "--divisor-zero", "inf"],
 ])
 def test_input_outside_theory_is_config_error(tmp_path, capsys, args):
-    # the library's own checks on recipes, adjoint degrees and section
-    # windows run in validate_config, not after the output directory exists
+    # the library's own checks on divisor coefficients, recipes, adjoint
+    # degrees and section windows run in validate_config, not after the
+    # output directory exists
     out = tmp_path / "x"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"divisor_zero": null}',
+     "divisor coefficient at zero must be a finite rational >= 0, got None"),
+], ids=["list", "null-coefficient"])
+def test_malformed_config_file_is_config_error(tmp_path, capsys, text, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {problem}\n"
     assert not out.exists()
 
 
@@ -462,6 +481,24 @@ def test_plotdata_refuses_malformed_trace(tmp_path, capsys, text, problem):
     assert run_cli(["plotdata", str(trace), "--out", str(tmp_path / "plots")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {trace}: ")
     assert not (tmp_path / "plots").exists()
+
+
+def test_plotdata_refuses_an_unknown_header(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("a,b\n1,2\n")
+    assert run_cli(["plotdata", str(trace), "--out", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err == "error: unrecognized trace schema: ['a', 'b']\n"
+    assert not (tmp_path / "plots").exists()
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(str(tmp_path / "out.json"), "{}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_with_schedules_writes_diagonal(tmp_path):

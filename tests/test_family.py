@@ -117,6 +117,17 @@ def test_unknown_recipe_and_bump_rejected():
         fam.conic_family_recipe(4.0, 0)
 
 
+@pytest.mark.parametrize("a0", ["abc", "1/0", float("nan"), float("inf"), None, "-1/2"],
+                         ids=["abc", "1/0", "nan", "inf", "None", "-1/2"])
+def test_conic_recipe_refuses_a_malformed_a0(a0):
+    # the divisor owns the coefficient rule, so the recipe refuses what the
+    # CLI's --a0 passes through
+    with pytest.raises(ConfigurationError) as exc:
+        fam.conic_family_recipe(a0=a0)
+    assert str(exc.value) == ("divisor coefficient at zero must be a finite "
+                              f"rational >= 0, got {a0!r}")
+
+
 def test_product_is_perturbed_at_amplitude_zero():
     assert fam.product_family_recipe(3.0) == fam.perturbed_family_recipe(3.0, 0.0)
 
@@ -373,6 +384,10 @@ def test_ns_norm_rejects_bad_exponents(product):
         fam.ns_log_norm(99, 1, f)
     with pytest.raises(ConfigurationError):
         fam.ns_log_norm(0, 0, f)
+    # k + sum a = 1.5 < 2: the adjoint bundle has negative degree at m = 1
+    low = fam.build_family(fam.product_family_recipe(1.5), BASE_9, GRID_257)
+    with pytest.raises(ConfigurationError, match="no sections at m = 1"):
+        fam.ns_log_norm(0, 1, low)
 
 
 def test_ns_norm_finite_at_klt_boundary():

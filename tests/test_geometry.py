@@ -44,6 +44,19 @@ def test_make_grid_rejects_degenerate(T, N):
         geo.make_grid(T, N)
 
 
+def test_weight_arrays_must_match_the_grid(grid):
+    n = grid.node_count
+    with pytest.raises(ConfigurationError, match="weight values do not match"):
+        geo.RadialWeight(grid, np.zeros(n - 1), 0.0, 0.0, 0.0)
+    with pytest.raises(ConfigurationError, match="curvature array does not match"):
+        geo.RadialWeight(grid, np.zeros(n), 0.0, 0.0, 0.0, np.zeros(n + 1))
+    w = geo.fs_weight(1.0, grid)
+    # another node count, and the same count on another half width
+    for other in (geo.make_grid(grid.half_width, n + 2), geo.make_grid(31.0, n)):
+        with pytest.raises(ConfigurationError, match="weights live on different grids"):
+            w + geo.fs_weight(1.0, other)
+
+
 def test_widened_keeps_nodes(grid):
     wide = grid.widened(45.0)
     assert wide.half_width >= 45.0
@@ -53,7 +66,7 @@ def test_widened_keeps_nodes(grid):
     # a weight widens onto the same nodes: the old values keep their bytes,
     # the new ones continue along the declared slopes (1/2 and 7/2 here)
     w = geo.fs_weight(3.0, grid) + geo.divisor_log_weight(geo.divisor(zero="1/2"), grid)
-    ww = w.widened(45.0)
+    ww = w.widened(wide)
     np.testing.assert_array_equal(ww.grid.nodes, wide.nodes)
     assert ww.values[i0:i0 + grid.node_count].tobytes() == w.values.tobytes()
     steps = np.diff(ww.values) / wide.spacing
@@ -61,7 +74,7 @@ def test_widened_keeps_nodes(grid):
     np.testing.assert_allclose(steps[i0 + grid.node_count - 1:], w.slope_plus, rtol=1e-12)
     assert (ww.slope_minus, ww.slope_plus, ww.degree) == (0.5, 3.5, 3.5)
     assert w.curvature is not None and ww.curvature is None
-    assert w.widened(grid.half_width) is w and w.widened(1.0) is w
+    assert w.widened(grid) is w and w.widened(grid.widened(1.0)) is w
 
 
 def test_grid_fs_profile_computed_once_and_readonly():
@@ -293,6 +306,28 @@ def test_divisor_klt_flag():
     assert not geo.divisor(zero=Fraction(3, 2)).is_klt
     with pytest.raises(ConfigurationError):
         geo.divisor(zero=Fraction(-1, 2))
+
+
+MALFORMED_COEFFICIENTS = pytest.mark.parametrize(
+    "value", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None, -1, "-1/2"],
+    ids=["abc", "1/0", "nan", "inf", "-inf", "None", "-1", "-1/2"])
+
+
+@MALFORMED_COEFFICIENTS
+@pytest.mark.parametrize("loc", ["zero", "infinity"])
+def test_divisor_refuses_what_is_not_a_finite_rational(loc, value):
+    # the one home of the coefficient rule: a malformed value is a
+    # ConfigurationError that names the point and echoes the value
+    with pytest.raises(ConfigurationError) as exc:
+        geo.divisor(**{loc: value})
+    assert str(exc.value) == (f"divisor coefficient at {loc} must be a finite "
+                              f"rational >= 0, got {value!r}")
+
+
+@pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+def test_divisor_frame_refuses_a_bad_floor(grid, eps):
+    with pytest.raises(ConfigurationError, match="frame floor must be finite and >= 0"):
+        geo.divisor_frame_log(geo.divisor(zero="1/2"), grid, eps)
 
 
 def test_divisor_is_its_two_coefficients():
