@@ -19,24 +19,23 @@ direct and p-step solves.  Everything is kept in log scale; Gram norms span
 hundreds of orders of magnitude by level 200.
 
 :func:`bergman_step` is the one entry to a level's Gram norms, and one rule
-gives their integrands' decay rates: a step refuses a rate <= 0, and the run
-driver widens the quadrature grid so that every Gram integrand has decayed
-below 1e-30 of its peak at the boundary, verifying this guard on every level.
+gives their integrands' decay rates: a step refuses a rate <= 0 and measures
+the level's decay-guard margin.  :func:`stream_levels`, the one loop over
+levels, widens the grid so that every Gram integrand decays below 1e-30 of
+its peak at the ends, and refuses a level whose margin is negative.  A
+run's levels are read from it; :func:`run_levels` keeps six numbers of each.
 
-The run driver integrates on every q-th node of the solve grid.  A Gram
+A run integrates on every q-th node of the solve grid.  A Gram
 integrand ``exp(j t - kappa_{l-1} - tau + t)`` is smooth and decays fast,
 with a peak of width about ``(l p (k - 2))^{-1/2}``, so the trapezoid rule
 converges exponentially on it (Trefethen & Weideman, SIAM Review 56, 2014)
 and a coarser step loses nothing once it resolves the narrowest peak, that
 of the last level.  The stride is the largest divisor q of ``N - 1`` with
-``(q h)^2 l_max p (k - 2) <= STRIDE_BUDGET`` and ``q h <= STRIDE_STEP_MAX``.
-Measured at level 100, the log Gram norms agree with the full-grid run to
-rounding up to a budget of about 2.2.  Below about 20 levels the budget
-alone admits steps near 0.5, where the error no longer follows the peak
-width (3.9e-12 at level 1 with a step of 0.5); the step cap keeps it at
-rounding there.  A strided run certifies itself on the full widened grid at
+``(q h)^2 l_max p (k - 2) <= STRIDE_BUDGET`` and ``q h <= STRIDE_STEP_MAX``
+(README's "Bergman subgrid" gives the measurements behind both bounds).  A
+strided stream read to its end certifies itself on the full widened grid at
 its last level, against ``STRIDE_TOL``; a grid whose ``N - 1`` has no
-fitting divisor runs at q = 1, the full grid, as before.
+fitting divisor runs at q = 1, the full grid.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -204,6 +203,7 @@ class BergmanLevel:
     basis: SectionBasis
     log_gram: np.ndarray
     kappa: RadialWeight
+    guard_margin: float
 
     def __post_init__(self):
         object.__setattr__(self, "log_gram", readonly_array(self.log_gram))
@@ -240,9 +240,12 @@ def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
     """Advance the kernel recursion by one level (``prev=None`` starts at 1).
 
     The level's Gram matrix is diagonal by rotation symmetry; a level whose
-    Gram integrands do not decay at both ends is refused.  ``layout``, if
-    given, must be the kernels' layout of the chain's nodes for the level's
-    exponents: the Gram quadrature and the kernel profile share it.
+    Gram integrands do not decay at both ends is refused.  Its
+    ``guard_margin`` is ``DECAY_GUARD_LOG`` plus the least log decay, from
+    peak to the grid's ends, of its slowest Gram integrands, the window's
+    end columns: >= 0 passes the decay guard.  ``layout``, if given, must be
+    the kernels' layout of the chain's nodes for the level's exponents: the
+    Gram quadrature and the kernel profile share it.
     """
     level = 1 if prev is None else prev.level + 1
     basis = _window(level, chain.p, chain.step_degree, chain.divisor)
@@ -255,15 +258,18 @@ def bergman_step(prev: Optional[BergmanLevel], chain: WeightChain, *,
     if hi <= 0:
         raise ConfigurationError(
             f"gram integrand grows at t -> +inf (slope {-hi}) at level {level}")
-    grid = chain.tau.grid
-    layout = layout or block_layout(grid.nodes, basis.exponents)
-    log_gram = _log_gram(basis, chain.tau,
-                         0.0 if prev is None else prev.kappa.values, layout)
-    kappa_vals = affine_lse_profile(grid.nodes, basis.exponents, -log_gram,
-                                    layout=layout)
+    grid, t = chain.tau.grid, chain.tau.grid.nodes
+    kappa_prev = 0.0 if prev is None else prev.kappa.values
+    layout = layout or block_layout(t, basis.exponents)
+    log_gram = _log_gram(basis, chain.tau, kappa_prev, layout)
+    kappa_vals = affine_lse_profile(t, basis.exponents, -log_gram, layout=layout)
     kappa = RadialWeight(grid, kappa_vals, float(basis.j_min),
                          float(basis.j_max), float(basis.degree))
-    return BergmanLevel(basis, log_gram, kappa)
+    rest = t - chain.tau.values - kappa_prev
+    cols = [j * t + rest for j in (basis.j_min, basis.j_max)]
+    guard = min(float(np.max(col)) - max(float(col[0]), float(col[-1]))
+                + DECAY_GUARD_LOG for col in cols)
+    return BergmanLevel(basis, log_gram, kappa, guard)
 
 
 def renormalized_profile(level: BergmanLevel) -> np.ndarray:
@@ -298,17 +304,16 @@ def c_ell_diagnostic(level: BergmanLevel, reference: np.ndarray) -> float:
 
 @dataclass
 class BergmanRun:
-    """Per-level numbers of a kernel recursion, not its levels.
-
-    ``chain`` is the strided, widened chain the levels ran on, its tau and
-    target on one grid: stepping :func:`bergman_step` on it reproduces any
-    level bit for bit.
-    ``log_gram_ranges`` holds each level's (min, max) log Gram norm.
-    ``stride`` is the q whose every q-th solve-grid node the run kept, and
-    ``stride_difference`` the largest difference of the last level's log
-    Gram norms from the same level redone on the full widened grid, relative
-    to their largest magnitude; it is 0.0 at stride 1, where the run grid is
-    the full grid."""
+    """Per-level numbers of a kernel recursion; its levels are read from
+    :func:`stream_levels`.  ``chain`` is the strided, widened chain they ran
+    on, tau and the target on one grid, ``log_gram_ranges`` holds each
+    level's (min, max) log Gram norm and ``guard_margin`` the least guard
+    margin.  ``stride`` is the q whose every q-th solve-grid node the run
+    kept, and ``stride_difference`` the largest difference of the last
+    level's log Gram norms from the same level redone on the full widened
+    grid, relative to their largest magnitude: 0.0 at stride 1, where the
+    run grid is the full grid, and None until the stream has yielded its
+    last level."""
 
     chain: WeightChain
     n_sections: list[int] = field(default_factory=list)
@@ -319,7 +324,7 @@ class BergmanRun:
     c_ells: list[float] = field(default_factory=list)
     guard_margin: float = float("inf")
     stride: int = 1
-    stride_difference: float = 0.0
+    stride_difference: Optional[float] = None
 
     @property
     def grid(self) -> RadialGrid:
@@ -394,84 +399,79 @@ def _stride_difference(tau: RadialWeight, prev: Optional[BergmanLevel],
                  / np.max(np.abs(last.log_gram)))
 
 
-def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
-    """Run the kernel recursion to ``ell_max``, holding only the last level.
+def stream_levels(chain: WeightChain,
+                  ell_max: int) -> Iterator[tuple[BergmanLevel, BergmanRun]]:
+    """Yield ``(level, run)`` for levels 1 to ``ell_max``, each level once
+    its decay guard has passed: the only loop over levels.
 
-    The levels run on every q-th node of the chain's grid, widened, with q
-    from :func:`_stride` (1, the full grid, if no larger divisor of
-    ``N - 1`` fits the budget); ``run.chain`` is that strided, widened chain,
-    built by :func:`_run_chain` with tau and the target on one grid.
-    At q > 1 the run certifies its stride once, at its last level: it
-    evaluates ``kappa_{l_max - 1}`` on the full widened grid from its log
-    Gram norms and redoes level ``l_max``'s quadrature there
-    (``run.stride_difference``, judged by :func:`stride_check`).
-
-    Kept per level, all read on the run's grid: section count, log Gram
-    range, sup distance of the renormalized profile to the target on
-    ``WINDOW``, one-sided slack below it, integral-chain log integral (the
-    bound follows from the section counts) and reference gap.  The decay
-    guard is checked on every level.  Every window is known before level 1,
-    so the levels read their block layouts from one
-    :class:`~radialke.kernels.LayoutTable`, and what does not change with
-    the level is computed once: the integrand and guard terms without the
-    kernel, and the fractional frame of each residue class of ``l p``
-    modulo the divisor's denominators.
+    ``run.chain`` is the strided, widened chain (:func:`_stride`,
+    :func:`_run_chain`), and the levels read their block layouts from one
+    :class:`~radialke.kernels.LayoutTable`; ``run`` carries the least guard
+    margin so far, and its per-level lists are the consumer's.  A stream
+    read to its end certifies its stride once, from its last two levels
+    (:func:`_stride_difference`, judged by :func:`stride_check`).
     """
     if ell_max < 1:
         raise ConfigurationError(f"ell_max must be >= 1, got {ell_max}")
     half_width = quadrature_halfwidth(chain, ell_max)
     q = _stride(chain.tau.grid, ell_max, chain.step_degree)
-    chain_w = _run_chain(chain, q, half_width)
-    run = BergmanRun(chain_w, stride=q)
-    wide = chain_w.tau.grid
-    t = wide.nodes
-    table = LayoutTable(t, [(b.j_min, b.j_max) for b in _windows(chain_w, ell_max)])
-    inside = np.flatnonzero(wide.window(*WINDOW))
-    win = slice(inside[0], inside[-1] + 1)
-    target = chain_w.target.values
-    t_tau = t - chain_w.tau.values
-    chain_terms = t_tau + math.log(2.0 * math.pi) + wide.log_trapezoid_weights
-    D = chain_w.divisor
-    period = math.lcm(D.zero.denominator, D.infinity.denominator)
-    frames: dict[int, np.ndarray] = {}
+    run = BergmanRun(_run_chain(chain, q, half_width), stride=q)
+    table = LayoutTable(run.grid.nodes, [(b.j_min, b.j_max)
+                                         for b in _windows(run.chain, ell_max)])
     prev = before = None
     for ell in range(1, ell_max + 1):
-        lv = bergman_step(prev, chain_w, layout=table.layout(ell - 1))
+        lv = bergman_step(prev, run.chain, layout=table.layout(ell - 1))
+        run.guard_margin = min(run.guard_margin, lv.guard_margin)
+        if lv.guard_margin < 0:
+            raise ConfigurationError(
+                f"quadrature decay guard violated at level {ell}; widen the grid")
+        yield lv, run
+        before, prev = prev, lv
+    run.stride_difference = 0.0 if q == 1 else _stride_difference(
+        chain.tau.widened(chain.tau.grid.widened(half_width)), before, prev)
+
+
+def run_levels(chain: WeightChain, ell_max: int) -> BergmanRun:
+    """Read :func:`stream_levels` to its end, keeping per-level numbers, not
+    levels, all on the run's grid: section count, log Gram range, sup
+    distance of the renormalized profile to the target on ``WINDOW``,
+    one-sided slack below it, integral-chain log integral (the bound follows
+    from the section counts) and reference gap.  What does not change with
+    the level is computed at level 1, and the fractional frame once per
+    residue class of ``l p`` modulo the divisor's denominators.
+    """
+    for lv, run in stream_levels(chain, ell_max):
+        ell = lv.level
+        if ell == 1:
+            wide, target = run.grid, run.chain.target.values
+            inside = np.flatnonzero(wide.window(*WINDOW))
+            win = slice(inside[0], inside[-1] + 1)
+            chain_terms = (wide.nodes - run.chain.tau.values + math.log(2.0 * math.pi)
+                           + wide.log_trapezoid_weights)
+            D = run.chain.divisor
+            period = math.lcm(D.zero.denominator, D.infinity.denominator)
+            frames: dict[int, np.ndarray] = {}
         run.n_sections.append(lv.basis.n_sections)
         run.log_gram_ranges.append((float(np.min(lv.log_gram)),
                                     float(np.max(lv.log_gram))))
-        # decay guard: slowest columns sit at the window ends
-        rest = t_tau if prev is None else t_tau - prev.kappa.values
-        for j in (lv.basis.j_min, lv.basis.j_max):
-            col = j * t + rest
-            peak = float(np.max(col))
-            margin = peak - max(float(col[0]), float(col[-1])) + DECAY_GUARD_LOG
-            run.guard_margin = min(run.guard_margin, margin)
-        if run.guard_margin < 0:
-            raise ConfigurationError(
-                f"quadrature decay guard violated at level {ell}; widen the grid")
         diff = renormalized_profile(lv) - target
         run.distances.append(float(np.max(np.abs(diff[win]))))
         run.liminf_slacks.append(max(0.0, -float(np.min(diff))))
         # integral chain, all three factors against the same nodal measure
         run.chain_log_integrals.append(logsumexp(lv.kappa.values / ell + chain_terms))
-        residue = ell * chain_w.p % period
+        residue = ell * run.chain.p % period
         if residue not in frames:
-            frames[residue] = frac_frame_log(ell, chain_w)
+            frames[residue] = frac_frame_log(ell, run.chain)
         run.c_ells.append(c_ell_diagnostic(lv, ell * target + frames[residue]))
-        before, prev = prev, lv
-    if q > 1:
-        tau = chain.tau.widened(chain.tau.grid.widened(half_width))
-        run.stride_difference = _stride_difference(tau, before, prev)
     return run
 
 
 def stride_check(run: BergmanRun) -> dict:
-    """Verdict on a run's stride: its certificate within ``STRIDE_TOL``."""
-    return {"stride": run.stride,
-            "max_relative_log_gram_difference": run.stride_difference,
-            "tolerance": STRIDE_TOL,
-            "holds": run.stride_difference <= STRIDE_TOL}
+    """Verdict on a run's stride: its certificate within ``STRIDE_TOL``;
+    a run whose stream stopped early has none, and fails."""
+    diff = run.stride_difference
+    return {"stride": run.stride, "max_relative_log_gram_difference": diff,
+            "tolerance": STRIDE_TOL, "holds": diff is not None and diff <= STRIDE_TOL}
 
 
 def convergence_check(run: BergmanRun, monotone_from: int = 20) -> dict:

@@ -408,7 +408,7 @@ def emit_plotdata(trace_path: str, out: str) -> str:
         write_csv(path, ["ell", "sup_distance", "chain_slack"],
                   zip(data[:, 0].astype(int), data[:, 4], data[:, 5]))
         return path
-    raise ConfigurationError(f"unrecognized trace schema: {header}")
+    raise ConfigurationError(f"{trace_path}: unrecognized trace schema: {header}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,18 +26,9 @@ def smooth_run(smooth_chain):
     return bergman.run_levels(smooth_chain, 40)
 
 
-def stepped_levels(run):
-    """A run's levels, stepped again on the widened chain it stored."""
-    levels, lv = [], None
-    for _ in run.distances:
-        lv = bergman.bergman_step(lv, run.chain)
-        levels.append(lv)
-    return levels
-
-
 @pytest.fixture(scope="module")
-def smooth_levels(smooth_run):
-    return stepped_levels(smooth_run)
+def smooth_levels(smooth_chain):
+    return [lv for lv, _ in bergman.stream_levels(smooth_chain, 40)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +140,21 @@ def test_decay_guard_refuses_an_unwidened_grid(monkeypatch):
         bergman.run_levels(chain, 3)
 
 
+def test_decay_guard_refuses_a_slightly_negative_margin(monkeypatch):
+    # negative control of the guard comparison: widened to 71.95 instead of
+    # about 83, the smooth N 257 chain passes levels 1 and 2 and misses the
+    # guard at level 3 by 0.14; one grid step wider, every level passes
+    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 257))
+    monkeypatch.setattr(bergman, "quadrature_halfwidth", lambda chain, ell_max: 71.9)
+    margins = []
+    with pytest.raises(ConfigurationError, match="decay guard violated at level 3"):
+        for lv, _ in bergman.stream_levels(chain, 3):
+            margins.append(lv.guard_margin)
+    assert len(margins) == 2 and min(margins) > 0.1
+    monkeypatch.setattr(bergman, "quadrature_halfwidth", lambda chain, ell_max: 72.0)
+    assert 0.0 < bergman.run_levels(chain, 3).guard_margin < 0.1
+
+
 # ---------------------------------------------------------------------------
 # level recursion
 # ---------------------------------------------------------------------------
@@ -207,8 +213,7 @@ def test_run_windows_follow_section_range(k, p, zero):
     D = geo.divisor(zero=zero) if zero else geo.DivisorData()
     chain = bergman.build_chain(k, D, p=p, m=1, grid=geo.make_grid(30.0, 1025))
     assert chain.step_degree == p * (k - 2)
-    run = bergman.run_levels(chain, 12)
-    levels = stepped_levels(run)
+    levels = [lv for lv, _ in bergman.stream_levels(chain, 12)]
     assert [lv.level for lv in levels] == list(range(1, 13))
     for lv in levels:
         assert lv.basis == bergman.section_range(lv.level, p, k, D)
@@ -235,6 +240,9 @@ def test_first_level_from_empty_chain(smooth_chain):
     lv = bergman.bergman_step(None, smooth_chain)
     assert lv.level == 1
     assert np.all(np.isfinite(lv.log_gram))
+    # on the unwidened solve grid a step reports a failed decay guard, and
+    # only the stream refuses it
+    assert lv.guard_margin < 0
 
 
 def test_kappa_convex_and_slopes(smooth_levels):
@@ -338,23 +346,46 @@ def test_decay_guard_satisfied(smooth_run):
 
 
 @pytest.fixture(scope="module")
-def half_p1_run():
+def half_p1_chain():
     # at p 1 the frame exponent ceil(l/2) - l/2 alternates between 0 and 1/2
-    chain = bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=1, m=1,
-                                grid=geo.make_grid(30.0, 1025))
-    return bergman.run_levels(chain, 30)
+    return bergman.build_chain(4.0, geo.divisor(zero="1/2"), p=1, m=1,
+                               grid=geo.make_grid(30.0, 1025))
 
 
 @pytest.fixture(scope="module")
-def long_smooth_run():
+def half_p1_run(half_p1_chain):
+    return bergman.run_levels(half_p1_chain, 30)
+
+
+@pytest.fixture(scope="module")
+def smooth_chain_1025():
+    return bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
+
+
+@pytest.fixture(scope="module")
+def long_smooth_run(smooth_chain_1025):
     # 15 block widths between levels 1 and 150
-    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
-    return bergman.run_levels(chain, 150)
+    return bergman.run_levels(smooth_chain_1025, 150)
 
 
-@pytest.mark.parametrize("name", ["smooth_run", "half_p1_run", "long_smooth_run"])
-def test_run_numbers_match_stepped_levels(name, request):
-    # the numbers a run keeps are those of its levels, bit for bit
+def stepped_levels(run):
+    """A run's levels, stepped again on the widened chain it stored: an
+    oracle independent of the stream."""
+    levels, lv = [], None
+    for _ in run.distances:
+        lv = bergman.bergman_step(lv, run.chain)
+        levels.append(lv)
+    return levels
+
+
+@pytest.mark.parametrize("name, source", [
+    ("smooth_run", "smooth_chain"), ("half_p1_run", "half_p1_chain"),
+    ("long_smooth_run", "smooth_chain_1025"),
+], ids=["smooth_run", "half_p1_run", "long_smooth_run"])
+def test_run_numbers_match_stepped_levels(name, source, request):
+    # the numbers a run keeps are those of its levels, bit for bit; the
+    # stream yields the levels stepped again on the run's chain, and the
+    # stream alone rebuilds the run's distances
     run = request.getfixturevalue(name)
     levels = stepped_levels(run)
     win = run.grid.window(*bergman.WINDOW)
@@ -372,6 +403,19 @@ def test_run_numbers_match_stepped_levels(name, request):
         bergman.c_ell_diagnostic(lv, lv.level * target
                                  + bergman.frac_frame_log(lv.level, run.chain))
         for lv in levels]
+    streamed = list(bergman.stream_levels(request.getfixturevalue(source), len(levels)))
+    for (lv, _), again in zip(streamed, levels, strict=True):
+        assert lv.level == again.level
+        assert lv.log_gram.tobytes() == again.log_gram.tobytes()
+        assert lv.kappa.values.tobytes() == again.kappa.values.tobytes()
+    ran = streamed[-1][1]
+    assert ran.grid.nodes.tobytes() == run.grid.nodes.tobytes()
+    win, target = ran.grid.window(*bergman.WINDOW), ran.chain.target.values
+    assert run.distances == [
+        float(np.max(np.abs(bergman.renormalized_profile(lv)[win] - target[win])))
+        for lv, _ in streamed]
+    assert run.guard_margin == ran.guard_margin == min(lv.guard_margin for lv, _ in streamed)
+    assert run.stride_difference == ran.stride_difference
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +459,25 @@ def _full_widened_nodes(chain, ell_max):
     return chain.tau.grid.widened(bergman.quadrature_halfwidth(chain, ell_max)).nodes
 
 
-def test_stride_one_runs_on_the_full_widened_grid(long_smooth_run):
+def test_stride_one_runs_on_the_full_widened_grid(long_smooth_run, smooth_chain_1025):
     # N 1025 to level 150: no stride above 1 fits, so the run is the
     # full-grid run and has nothing to certify
-    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
     assert long_smooth_run.stride == 1
     assert long_smooth_run.stride_difference == 0.0
-    assert long_smooth_run.grid.nodes.tobytes() == _full_widened_nodes(chain, 150).tobytes()
+    assert (long_smooth_run.grid.nodes.tobytes()
+            == _full_widened_nodes(smooth_chain_1025, 150).tobytes())
+
+
+def test_a_stream_stopped_early_certifies_no_stride(smooth_chain_1025):
+    # at q 4, a consumer that stops at level 5 of 12 leaves its run without
+    # the stride certificate, which only the last level can give
+    for lv, run in bergman.stream_levels(smooth_chain_1025, 12):
+        if lv.level == 5:
+            break
+    assert run.stride == 4 and run.stride_difference is None
+    check = bergman.stride_check(run)
+    assert check["max_relative_log_gram_difference"] is None
+    assert not check["holds"]
 
 
 def test_prime_node_count_falls_back_to_stride_one():
@@ -511,16 +567,14 @@ def test_c_ell_rejects_wrong_slopes(smooth_run, smooth_levels):
         bergman.c_ell_diagnostic(lv, bad_ref)
 
 
-def test_c_ell_rejects_a_small_slope_mismatch():
+def test_c_ell_rejects_a_small_slope_mismatch(smooth_chain_1025):
     # negative control of the 1e-6 slope check: a reference whose slope at
     # t -> -inf is off by 1e-3 moves the infimum to the grid's first node
-    chain = bergman.build_chain(4.0, None, p=1, m=1, grid=geo.make_grid(30.0, 1025))
-    run = bergman.run_levels(chain, 10)
-    lv = None
-    for _ in run.distances:
-        lv = bergman.bergman_step(lv, run.chain)
+    for lv, run in bergman.stream_levels(smooth_chain_1025, 10):
+        pass
     ref = lv.level * run.chain.target.values + bergman.frac_frame_log(lv.level, run.chain)
-    assert bergman.c_ell_diagnostic(lv, ref) == run.c_ells[-1]
+    assert (bergman.c_ell_diagnostic(lv, ref)
+            == bergman.run_levels(smooth_chain_1025, 10).c_ells[-1])
     with pytest.raises(ConfigurationError, match="slope mismatch at t -> -inf"):
         bergman.c_ell_diagnostic(lv, ref - 1e-3 * run.grid.nodes)
 
@@ -542,12 +596,11 @@ def test_kernel_levels_jointly_convex_over_family():
     base = np.linspace(-1.5, 1.5, 9)
     grid9 = geo.make_grid(30.0, 257)
     f = fam.build_family(fam.perturbed_family_recipe(4.0, 0.05), base, grid9)
-    runs = [bergman.run_levels(
-        bergman.build_chain(4.0, None, p=1, m=1, grid=grid9, twist=f.twist(i)), 6)
+    levels = [[lv for lv, _ in bergman.stream_levels(
+        bergman.build_chain(4.0, None, p=1, m=1, grid=grid9, twist=f.twist(i)), 6)]
         for i in range(f.base_count)]
-    ht = runs[0].grid.spacing
+    ht = levels[0][0].kappa.grid.spacing
     hs = float(base[1] - base[0])
-    levels = [stepped_levels(r) for r in runs]
     for ell in range(6):
         U = np.column_stack([lvs[ell].kappa.values for lvs in levels])
         cert = fam.hessian_certificate(U, ht, hs, tol=1e-8)

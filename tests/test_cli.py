@@ -487,7 +487,8 @@ def test_plotdata_refuses_an_unknown_header(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     trace.write_text("a,b\n1,2\n")
     assert run_cli(["plotdata", str(trace), "--out", str(tmp_path / "plots")]) == 2
-    assert capsys.readouterr().err == "error: unrecognized trace schema: ['a', 'b']\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {trace}: unrecognized trace schema: ['a', 'b']\n"
     assert not (tmp_path / "plots").exists()
 
 

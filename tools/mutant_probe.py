@@ -1,13 +1,14 @@
 """Mutation probe of the library's verdict thresholds.
 
-Each mutant loosens one constant in a fresh temporary copy of the tree,
+Each mutant loosens one threshold in a fresh temporary copy of the tree,
 then runs the tier-1 suite there with ``-x``.  A mutant the suite passes
 is a threshold with no negative control: a check that still passes at a
 looser threshold certifies less than it claims.  ``ROUTE_TOL`` is the one
 expected survivor while the route check compares a solve with itself.
 
 The ``x10`` mutants loosen a threshold tenfold; they check that a negative
-control sits between the threshold and ten times it.
+control sits between the threshold and ten times it.  ``decay guard -1``
+does the same for the guard margin's 0, against ``decay guard``'s -50.
 
     python tools/mutant_probe.py             # every mutant
     python tools/mutant_probe.py CAP x10     # names containing CAP or x10
@@ -31,6 +32,8 @@ MUTANTS = {
     "DECAY_GUARD_LOG": ("bergman", "DECAY_GUARD_LOG = math.log(1e-30)",
                         "DECAY_GUARD_LOG = math.log(1e-12)"),
     "guard core width": ("bergman", "core = 12.0 +", "core = 2.0 +"),
+    "decay guard": ("bergman", "if lv.guard_margin < 0:", "if lv.guard_margin < -50:"),
+    "decay guard -1": ("bergman", "if lv.guard_margin < 0:", "if lv.guard_margin < -1:"),
     "FLOOR": ("kernels", "FLOOR = -145.0 - 2.0 * CAP", "FLOOR = -60.0 - 2.0 * CAP"),
     "CAP": ("kernels", "CAP = 180.0", "CAP = 170.0"),
     "monotone step": ("bergman", "np.all(steps <= 1e-12)", "np.all(steps <= 1e-3)"),
