@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__, bergman, family as family_mod, ricci as ricci_mod, suite
 from .conventions import CONVENTIONS_HASH
 from .errors import ConfigurationError, ConvergenceError
-from .geometry import DEFAULT_N, DEFAULT_T, DivisorData, divisor, make_grid
-from .io import read_csv, weight_record, weight_to_csv, write_csv, write_json
-from .masolver import (CLOSED_FORM_TOL, DEFAULT_TOL, check_schedule,
+from .geometry import DEFAULT_N, DEFAULT_T, DivisorData, RadialGrid, divisor, make_grid
+from .io import read_csv, read_text, weight_record, weight_to_csv, write_csv, write_json
+from .masolver import (CLOSED_FORM_TOL, DEFAULT_TOL, MAProblem, check_schedule,
                        closed_form_error, diagonal_pairs, ke_problem,
                        regularized_diagonal, solve_ke_ode)
 
@@ -85,8 +85,7 @@ def load_config(path: Optional[str], overrides: dict, kind: str) -> dict:
     cfg["kind"] = kind
     given = set()  # keys set by the file or a flag, not by the defaults
     if path is not None:
-        with open(path) as f:
-            loaded = json.load(f)
+        loaded = json.loads(read_text(path))
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must hold a JSON object")
         for key, value in loaded.items():
@@ -145,8 +144,15 @@ def _coerce(typ: type, value):
     return out
 
 
-def validate_config(cfg: dict) -> None:
-    """Cheap structural validation before any compute."""
+def validate_config(cfg: dict):
+    """Check a config before any compute and build the inputs its run reads:
+    a ``family`` run's family, a ``solve`` run's problem, a ``ricci`` or
+    ``bergman`` run's ``(divisor, grid)``, None for ``suite``.  After the
+    structural checks, the constructors' own checks refuse the inputs
+    outside the theory: divisor coefficients, adjoint degrees, density
+    slopes, the background's curvature mass (too coarse or too short a
+    grid), a family's joint positivity."""
+    kind = cfg["kind"]
     for key, value in cfg.items():
         if CONFIG_KEYS[key][1] is float and value is not None \
                 and not math.isfinite(value):
@@ -164,37 +170,31 @@ def validate_config(cfg: dict) -> None:
             check_schedule(key.split("_")[0], cfg[key])
     if schedules := _diagonal_schedules(cfg):
         diagonal_pairs(*schedules)
-    if cfg["kind"] == "family" and cfg["base_min"] >= cfg["base_max"]:
+    if kind == "family" and cfg["base_min"] >= cfg["base_max"]:
         raise ConfigurationError(
             "config keys 'base_min' and 'base_max' must satisfy base_min < "
             f"base_max, got {cfg['base_min']} and {cfg['base_max']}")
     unknown = set(cfg.get("criteria") or ()) - {cid for cid, _, _ in suite.CRITERIA}
     if unknown:
         raise ConfigurationError(f"unknown criteria in 'criteria': {sorted(unknown)}")
-    # the cheap objects the run builds first, so their own checks refuse
-    # the inputs outside the theory before any compute: divisor
-    # coefficients, adjoint degrees, density slopes, the background's
-    # curvature mass (which fails on a grid too coarse or too short for the
-    # profile), a family's joint positivity
-    if cfg["kind"] == "family":
-        recipe = _recipe_from(cfg)
-        ke_problem(recipe.k, recipe.divisor, make_grid(cfg["T"], cfg["fiber_n"]))
-        _family_from(cfg)
-    elif cfg["kind"] != "suite":
-        D = _divisor_from(cfg)
-        grid = _grid_from(cfg)
-        delta = cfg.get("delta", 0.0)
-        if cfg["kind"] == "solve":
-            ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=delta)
-        else:  # the p-step iteration's first step
-            ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid,
-                                    eps=cfg.get("eps", 0.0), delta=delta)
-        if cfg["kind"] == "bergman":
-            bergman.section_range(1, cfg["p"], cfg["k"], D)
-
-
-def _divisor_from(cfg: dict) -> DivisorData:
-    return divisor(zero=cfg["divisor_zero"], infinity=cfg["divisor_infinity"])
+    if kind == "suite":
+        return None
+    if kind == "family":
+        # a negative count is an empty base, which build_family refuses
+        base = np.linspace(cfg["base_min"], cfg["base_max"], max(cfg["base_count"], 0))
+        return family_mod.build_family(_recipe_from(cfg), base,
+                                       make_grid(cfg["T"], cfg["fiber_n"]))
+    D = divisor(zero=cfg["divisor_zero"], infinity=cfg["divisor_infinity"])
+    grid = make_grid(cfg["T"], cfg["N"])
+    if kind == "solve":
+        return ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=cfg["delta"])
+    # the p-step iteration's first step, which run_ricci and build_chain
+    # build again from the same inputs
+    ricci_mod.initial_state(cfg["k"], D, cfg["p"], grid,
+                            eps=cfg.get("eps", 0.0), delta=cfg.get("delta", 0.0))
+    if kind == "bergman":
+        bergman.section_range(1, cfg["p"], cfg["k"], D)
+    return D, grid
 
 
 def _recipe_constructor(name: str):
@@ -214,13 +214,6 @@ def _recipe_from(cfg: dict) -> family_mod.FamilyRecipe:
     return make(**{key: cfg[key] for key in inspect.signature(make).parameters})
 
 
-def _family_from(cfg: dict) -> family_mod.FiberFamily:
-    # a negative count is an empty base, which build_family refuses
-    base = np.linspace(cfg["base_min"], cfg["base_max"], max(cfg["base_count"], 0))
-    return family_mod.build_family(_recipe_from(cfg), base,
-                                   make_grid(cfg["T"], cfg["fiber_n"]))
-
-
 def _diagonal_schedules(cfg: dict) -> Optional[tuple[list, list]]:
     """The (delta, eps) schedules of a solve run, each standing in for the
     other when only one is set; None without a diagonal."""
@@ -230,23 +223,16 @@ def _diagonal_schedules(cfg: dict) -> Optional[tuple[list, list]]:
             cfg.get("eps_schedule") or cfg["delta_schedule"])
 
 
-def _grid_from(cfg: dict):
-    return make_grid(cfg["T"], cfg["N"])
-
-
 # ---------------------------------------------------------------------------
-# experiment bodies: return (verdicts, artifact summaries)
+# experiment bodies: (config, the inputs validate_config built, out) -> verdicts
 # ---------------------------------------------------------------------------
 
-def _run_solve(cfg: dict, out: str) -> dict:
-    grid = _grid_from(cfg)
-    D = _divisor_from(cfg)
-    prob = ke_problem(cfg["k"], D, grid, eps=cfg["eps"], delta=cfg["delta"])
+def _run_solve(cfg: dict, prob: MAProblem, out: str) -> dict:
     rep = solve_ke_ode(prob, tol=cfg["tol"])
     weight_to_csv(rep.solution, os.path.join(out, "profile.csv"))
     verdicts = {"mass_defect_small": rep.mass_defect <= 1e-6}
     oracle = None
-    if D.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0:
+    if prob.divisor.is_empty and cfg["eps"] == 0 and cfg["delta"] == 0:
         oracle = closed_form_error(rep.solution, cfg["k"])
         verdicts["closed_form_oracle"] = oracle <= CLOSED_FORM_TOL
     diagonal_summary = None
@@ -273,9 +259,8 @@ def _run_solve(cfg: dict, out: str) -> dict:
     return verdicts
 
 
-def _run_ricci(cfg: dict, out: str) -> dict:
-    grid = _grid_from(cfg)
-    D = _divisor_from(cfg)
+def _run_ricci(cfg: dict, inputs: tuple[DivisorData, RadialGrid], out: str) -> dict:
+    D, grid = inputs
     state, trace = ricci_mod.run_ricci(cfg["k"], D, cfg["p"], m_max=cfg["m_max"],
                                        stop_tol=cfg["stop_tol"], grid=grid,
                                        eps=cfg["eps"], delta=cfg["delta"],
@@ -296,9 +281,8 @@ def _run_ricci(cfg: dict, out: str) -> dict:
     return verdicts
 
 
-def _run_bergman(cfg: dict, out: str) -> dict:
-    grid = _grid_from(cfg)
-    D = _divisor_from(cfg)
+def _run_bergman(cfg: dict, inputs: tuple[DivisorData, RadialGrid], out: str) -> dict:
+    D, grid = inputs
     chain = bergman.build_chain(cfg["k"], D, p=cfg["p"], m=cfg["m"], grid=grid)
     run = bergman.run_levels(chain, cfg["ell_max"])
     slacks = run.chain_slacks()
@@ -324,8 +308,7 @@ def _run_bergman(cfg: dict, out: str) -> dict:
     return verdicts
 
 
-def _run_family(cfg: dict, out: str) -> dict:
-    fam = _family_from(cfg)
+def _run_family(cfg: dict, fam: family_mod.FiberFamily, out: str) -> dict:
     rel = family_mod.solve_fiberwise(fam)
     cert = family_mod.base_positivity_check(rel)
     bound = family_mod.uniform_sup_check(rel, (cfg["base_min"], cfg["base_max"]))
@@ -342,7 +325,7 @@ def _run_family(cfg: dict, out: str) -> dict:
             "section_norm_convexity": all(c["passed"] for _, _, c in ns)}
 
 
-def _run_suite(cfg: dict, out: str) -> dict:
+def _run_suite(cfg: dict, inputs: None, out: str) -> dict:
     results = suite.run_criteria(cfg.get("criteria") or None, seed=cfg["seed"])
     # timings go to stdout and the manifest wall clock; the CSV payload stays
     # byte-identical across reruns
@@ -358,8 +341,9 @@ RUNNERS = {"solve": _run_solve, "ricci": _run_ricci, "bergman": _run_bergman,
            "family": _run_family, "suite": _run_suite}
 
 
-def run(cfg: dict) -> tuple[dict, int]:
-    """Execute one config; always writes a manifest, returns (manifest, exit code)."""
+def run(cfg: dict, inputs) -> tuple[dict, int]:
+    """Execute one config on the inputs :func:`validate_config` built for
+    it; always writes a manifest, returns (manifest, exit code)."""
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     t0 = time.perf_counter()
@@ -371,7 +355,7 @@ def run(cfg: dict) -> tuple[dict, int]:
     }
     code = 0
     try:
-        verdicts = RUNNERS[cfg["kind"]](cfg, out)
+        verdicts = RUNNERS[cfg["kind"]](cfg, inputs, out)
         manifest["verdicts"] = verdicts
         if not all(verdicts.values()):
             code = 1
@@ -390,8 +374,6 @@ def run(cfg: dict) -> tuple[dict, int]:
 
 def emit_plotdata(trace_path: str, out: str) -> str:
     """Convert a run trace into plot-ready columns, schema chosen by header."""
-    if not os.path.exists(trace_path):
-        raise ConfigurationError(f"trace file not found: {trace_path}")
     header, data = read_csv(trace_path)
     if header[:3] == ["m", "gap", "ratio"]:
         gaps = data[:, 1]
@@ -454,11 +436,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                  if k not in ("command", "config") and v is not None}
     try:
         cfg = load_config(args.config, overrides, args.command)
-        validate_config(cfg)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+        inputs = validate_config(cfg)
+    except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    manifest, code = run(cfg)
+    manifest, code = run(cfg, inputs)
     if "error" in manifest:
         print(f"run failed: {manifest['error']}", file=sys.stderr)
     else:

@@ -28,7 +28,7 @@ from .errors import ConfigurationError, ConvergenceError
 from .geometry import (DEFAULT_T, DivisorData, RadialGrid, RadialWeight,
                        fs_weight, make_grid, readonly_array)
 from .kernels import logsumexp
-from .masolver import SolveReport, ke_problem, polynomial_start, solve_ke_ode
+from .masolver import MAProblem, SolveReport, ke_problem, polynomial_start, solve_ke_ode
 
 DEFAULT_BASE = (-2.0, 2.0, 41)
 DEFAULT_FIBER_N = 1024
@@ -165,13 +165,14 @@ class FiberFamily:
     """Fiber twists over the base nodes, a uniform increasing grid of at
     least 3 nodes: row ``i`` of ``twists``, a read-only (fibers x fiber
     nodes) matrix, is the profile of the twist over ``base_nodes[i]``; every
-    twist has slopes (0, k) and degree k."""
+    twist has slopes (0, k) and degree k.  ``problem``, the fiber equation,
+    is fiber 0's :func:`ke_problem`; the fiber grid is its grid."""
 
     recipe: FamilyRecipe
     base_nodes: np.ndarray
-    fiber_grid: RadialGrid
     twists: np.ndarray
     precheck: dict
+    problem: MAProblem
 
     def __post_init__(self):
         object.__setattr__(self, "base_nodes", readonly_array(self.base_nodes))
@@ -182,6 +183,10 @@ class FiberFamily:
         the row."""
         k = self.recipe.k
         return RadialWeight(self.fiber_grid, self.twists[idx], 0.0, k, k)
+
+    @property
+    def fiber_grid(self) -> RadialGrid:
+        return self.problem.grid
 
     @property
     def joint_positive(self) -> bool:
@@ -204,15 +209,17 @@ class FiberFamily:
 def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                  fiber_grid: RadialGrid | None = None, *,
                  bypass_precheck: bool = False) -> FiberFamily:
-    """Assemble fiber twists and run the joint-positivity precheck.
+    """Assemble fiber twists and the fiber equation, then run the
+    joint-positivity precheck.
 
     The base (default ``DEFAULT_BASE``) must be an increasing grid of at
     least 3 nodes, uniform to ``1e-12 max(1, max|s|)`` as the
     :func:`kernels.block_layout` nodes are: the (s, s) and (t, s) stencils
-    of every certificate read its one step.  The precheck applies the 2x2
-    Hessian certificate to the twist matrix; rejection carries the
-    offending node.  ``bypass_precheck`` admits a failing family anyway
-    (control experiments only).
+    of every certificate read its one step.  The equation's own checks
+    (adjoint degree, background mass on the fiber grid) run before the
+    precheck, which applies the 2x2 Hessian certificate to the twist matrix;
+    rejection carries the offending node.  ``bypass_precheck`` admits a
+    failing family anyway (control experiments only).
     """
     base = (np.linspace(*DEFAULT_BASE) if base_nodes is None
             else np.asarray(base_nodes, float))
@@ -228,6 +235,8 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     base_fs = fs_weight(recipe.k, grid).values
     coupling = np.array([math.exp(s) * recipe.amplitude for s in base])
     twists = base_fs + coupling[:, None] * bump
+    problem = ke_problem(recipe.k, recipe.divisor, grid,
+                         twist=RadialWeight(grid, twists[0], 0.0, recipe.k, recipe.k))
 
     cert = hessian_certificate(twists.T, grid.spacing, float(base[1] - base[0]))
     if not cert["passed"] and not bypass_precheck:
@@ -236,8 +245,7 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
                    if cert[entry + "_location"] is not None]
         raise ConfigurationError("family twist fails joint positivity: "
                                  + ", ".join(failing))
-    return FiberFamily(recipe, base, grid, twists, cert)
-
+    return FiberFamily(recipe, base, twists, cert, problem)
 
 @dataclass(frozen=True)
 class RelativePotential:
@@ -263,20 +271,15 @@ def solve_fiberwise(family: FiberFamily) -> RelativePotential:
     tridiagonal sweeps instead of 3.7 from the neighbour alone, and the
     solution is the cold start's up to rounding.
 
-    The fibers differ only in their twist: the first fiber's equation is
-    built by :func:`ke_problem`, every later one by
-    :meth:`MAProblem.with_twist`, which shares the background and assembles
-    only the twist slot.
+    The fibers differ only in their twist: fiber ``i`` solves
+    ``family.problem.with_twist(family.twist(i))``, which shares the
+    family's background and assembles only the twist slot.
     """
     mus = np.exp(family.base_nodes)
     cols, pots, reports = [], [], []
-    prob = None
     for idx in range(family.base_count):
-        twist = family.twist(idx)
         try:
-            prob = (ke_problem(family.recipe.k, family.divisor, family.fiber_grid,
-                               twist=twist)
-                    if prob is None else prob.with_twist(twist))
+            prob = family.problem.with_twist(family.twist(idx))
             rep = solve_ke_ode(prob, tol=FIBER_TOL,
                                v0=polynomial_start(pots, mus[:idx], mus[idx]))
         except (ConfigurationError, ConvergenceError) as exc:

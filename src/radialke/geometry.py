@@ -180,8 +180,7 @@ class RadialWeight:
         return replace(self, values=self.values + c)
 
     def _check_same_grid(self, other: "RadialWeight") -> None:
-        if other.grid.nodes.shape != self.grid.nodes.shape or \
-                not np.array_equal(other.grid.nodes, self.grid.nodes):
+        if not np.array_equal(other.grid.nodes, self.grid.nodes):
             raise ConfigurationError("weights live on different grids")
 
     # -- calculus on the grid -----------------------------------------------

@@ -49,11 +49,22 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; any other path is refused by name."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Header and numeric rows of a CSV file; a file without either, with a
-    non-numeric cell or a row not of the header's length is refused."""
-    with open(path) as f:
-        lines = [ln.strip().split(",") for ln in f if ln.strip()]
+    """Header and numeric rows of a CSV file; an unreadable file, one without
+    either, with a non-numeric cell or a row not of the header's length is
+    refused."""
+    lines = [ln.strip().split(",") for ln in read_text(path).split("\n")
+             if ln.strip()]
     if len(lines) < 2:
         raise ConfigurationError(f"{path}: no {'data rows' if lines else 'header'}")
     header, rows = lines[0], lines[1:]

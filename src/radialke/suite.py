@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .geometry import (default_grid, divisor, fs_weight, kink_weight,
                        make_grid)
 from . import bergman, family as family_mod, ricci as ricci_mod
@@ -305,7 +306,7 @@ def run_criteria(ids: Optional[list[int]] = None,
     wanted = set(ids) if ids else {cid for cid, _, _ in CRITERIA}
     unknown = wanted - {cid for cid, _, _ in CRITERIA}
     if unknown:
-        raise ValueError(f"unknown criteria: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown criteria: {sorted(unknown)}")
     results = []
     for cid, name, fn in CRITERIA:
         if cid in wanted:

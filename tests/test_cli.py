@@ -492,6 +492,44 @@ def test_plotdata_refuses_an_unknown_header(tmp_path, capsys):
     assert not (tmp_path / "plots").exists()
 
 
+@pytest.mark.parametrize("command, contents, prefix", [
+    ("solve", None, "config error"),
+    ("solve", b'{"N": 257, "k": "\xff"}', "config error"),
+    ("plotdata", None, "error"),
+    ("plotdata", b"m,gap,ratio\n1,\xff,0.5\n", "error"),
+], ids=["config-directory", "config-not-utf8", "trace-directory", "trace-not-utf8"])
+def test_unreadable_input_file_is_refused_by_name(tmp_path, capsys, command,
+                                                  contents, prefix):
+    path = tmp_path / "input"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    out = tmp_path / "x"
+    args = (["solve", "--config", str(path)] if command == "solve"
+            else ["plotdata", str(path)])
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"{prefix}: {path}: cannot read: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["family", "--base-count", "9", "--fiber-n", "257"], "build_family"),
+    (["solve", "--N", "257"], "ke_problem"),
+], ids=["family", "solve"])
+def test_cli_builds_its_inputs_once(tmp_path, monkeypatch, args, name):
+    # validate_config builds the run's family or problem and the run reads
+    # it; a solve without a schedule builds no other problem
+    calls = []
+    for module in (cli, radialke.family, radialke.masolver):
+        if hasattr(module, name):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, build=build, **kw:
+                                calls.append(1) or build(*a, **kw))
+    assert run_cli(args + ["--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == 1
+
+
 def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")

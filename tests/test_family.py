@@ -170,11 +170,44 @@ def test_fiberwise_solve_is_the_per_fiber_constructor_loop(name):
         assert rep.problem.background is rel.reports[0].problem.background
 
 
-def test_failing_fiber_reports_index():
+@pytest.mark.parametrize("recipe, grid, problem", [
+    (fam.product_family_recipe(1.5), GRID_257, "adjoint class"),
+    (fam.perturbed_family_recipe(1.5, -0.05), GRID_257, "adjoint class"),
+    (fam.perturbed_family_recipe(4.0, 0.05), geo.make_grid(30.0, 3), "mass"),
+], ids=["adjoint-degree", "adjoint-degree-before-precheck", "coarse-fiber-grid"])
+def test_build_family_refuses_an_inadmissible_fiber_equation(recipe, grid, problem):
+    # the fiber equation is built with the family, before the precheck, so
+    # its own checks refuse the family rather than fiber 0 of a solve
+    with pytest.raises(ConfigurationError, match=problem):
+        fam.build_family(recipe, BASE_9, grid)
+
+
+def test_family_problem_is_fiber_zeros_equation(product):
+    f, _ = product
+    ref = ma.ke_problem(f.recipe.k, f.divisor, GRID_257, twist=f.twist(0))
+    assert f.fiber_grid is f.problem.grid
+    np.testing.assert_array_equal(f.problem.twist.values, ref.twist.values)
+    np.testing.assert_array_equal(f.problem.background.values, ref.background.values)
+
+
+def test_failing_fiber_reports_index(monkeypatch):
+    # an inadmissible fiber equation is refused by build_family; a failure
+    # at solve time still names its fiber
     recipe = fam.conic_family_recipe(2.2, Fraction(1, 2), 0.0)
-    f = fam.build_family(recipe, BASE_9, GRID_257, bypass_precheck=True)
-    with pytest.raises(ConfigurationError, match="fiber 0"):
-        fam.solve_fiberwise(f)
+    with pytest.raises(ConfigurationError, match="adjoint class"):
+        fam.build_family(recipe, BASE_9, GRID_257, bypass_precheck=True)
+    solve, calls = ma.solve_ke_ode, []
+
+    def stall_at_fiber_3(prob, **kwargs):
+        calls.append(1)
+        if len(calls) == 4:
+            raise ConvergenceError("Newton stalled")
+        return solve(prob, **kwargs)
+
+    monkeypatch.setattr(fam, "solve_ke_ode", stall_at_fiber_3)
+    with pytest.raises(ConvergenceError,
+                       match=r"^fiber 3 \(s = -0\.5000\) failed: Newton stalled$"):
+        fam.solve_fiberwise(build("perturbed"))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +417,9 @@ def test_ns_norm_rejects_bad_exponents(product):
         fam.ns_log_norm(99, 1, f)
     with pytest.raises(ConfigurationError):
         fam.ns_log_norm(0, 0, f)
-    # k + sum a = 1.5 < 2: the adjoint bundle has negative degree at m = 1
-    low = fam.build_family(fam.product_family_recipe(1.5), BASE_9, GRID_257)
+    # k + sum a = 1.5 < 2: the adjoint bundle has negative degree at m = 1;
+    # build_family refuses that recipe, so it is swapped in after the build
+    low = dataclasses.replace(f, recipe=fam.product_family_recipe(1.5))
     with pytest.raises(ConfigurationError, match="no sections at m = 1"):
         fam.ns_log_norm(0, 1, low)
 
