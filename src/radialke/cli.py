@@ -174,9 +174,7 @@ def validate_config(cfg: dict):
         raise ConfigurationError(
             "config keys 'base_min' and 'base_max' must satisfy base_min < "
             f"base_max, got {cfg['base_min']} and {cfg['base_max']}")
-    unknown = set(cfg.get("criteria") or ()) - {cid for cid, _, _ in suite.CRITERIA}
-    if unknown:
-        raise ConfigurationError(f"unknown criteria in 'criteria': {sorted(unknown)}")
+    suite.check_criteria(cfg.get("criteria") or ())
     if kind == "suite":
         return None
     if kind == "family":

@@ -4,22 +4,28 @@ Everything downstream funnels its inner loops through four operations: a
 plain ``logsumexp`` of a vector or of each matrix row, and these three:
 
 ``tridiag_solve``
-    The Newton linearizations of the radial Monge-Ampere equation.  No
-    pivoting; the systems are weakly diagonally dominant by construction
-    (interior rows ``D^2 - diag(g e^v)``, Neumann rows at both ends).  While
-    a system has more than ``SWEEP_ROWS = 128`` rows, odd-even (cyclic)
-    reduction in numpy eliminates its odd rows and halves it; a Thomas sweep
-    on Python floats solves the rest, and the eliminated rows are recovered
-    level by level.  Reduction is stable on diagonally dominant systems
-    (Heller, SIAM J. Numer. Anal. 13, 1976): each level's system is a Schur
-    complement and stays diagonally dominant.  The tests bound the normwise
-    backward error of the hybrid and of the sweep alike by ``4 eps``.  A
-    system of at most 128 rows is solved by the sweep alone, bitwise the
-    float64 Thomas elimination; a larger one moves at rounding level.  A
-    full reduction would pay numpy's per-call overhead on its last, tiny
-    levels, which the sweep does faster.  One call, one BLAS thread, 2-CPU
-    host: 0.53 -> 0.22 ms at 1024 rows and 2.05 -> 0.36 ms at 4096 against
-    the sweep alone, the same at 65 rows.
+    The Newton linearizations of the radial Monge-Ampere equation, in
+    symmetric form ``(e, d, b)``: one off-diagonal ``e``, shared by the two
+    rows it couples.  No pivoting; the systems are weakly diagonally
+    dominant by construction (interior rows ``D^2 - diag(g e^v)``, Neumann
+    rows at both ends scaled by ``-1/h^2`` to keep the matrix symmetric).
+    While a system has more than ``SWEEP_ROWS = 128`` rows, odd-even
+    (cyclic) reduction in numpy eliminates its odd rows and halves it; a
+    Thomas sweep on Python floats solves the rest, and the eliminated rows
+    are recovered level by level.  Each level's system is a Schur complement
+    (Heller, SIAM J. Numer. Anal. 13, 1976), so it stays symmetric and
+    diagonally dominant and reduction stays stable: a level updates ``d``,
+    ``e`` and ``b`` from one reciprocal of the odd pivots.  The tests bound
+    the normwise backward error of the hybrid and of the sweep alike by
+    ``4 eps``.  A system of at most 128 rows is solved by the sweep alone,
+    bitwise the float64 symmetric Thomas elimination; a larger one moves at
+    rounding level.  A full reduction would pay numpy's per-call overhead
+    on its last, tiny levels, which the sweep does faster.  One call, one
+    BLAS thread, 2-CPU host, against the general ``(dl, d, du)`` reduction
+    it replaced: 116 -> 95 us at 1024 rows, 209 -> 179 us at 4096 and 22 ->
+    18 us at 65.  A general system passed as ``(dl, d, du, b)`` is scaled
+    row by row to the symmetric form first, which costs about what the
+    symmetric solve saves (123 us at 1024 rows).
 
 ``affine_lse_profile``
     ``out[i] = log sum_j exp(slopes[j] * t[i] + offsets[j])``, the log-kernel
@@ -127,67 +133,93 @@ GEMM_CELLS = 2**19
 SWEEP_ROWS = 128
 
 
-def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                  b: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by odd-even reduction down to a Thomas sweep.
+def tridiag_solve(*system: np.ndarray) -> np.ndarray:
+    """Solve a symmetric tridiagonal system by odd-even reduction down to a
+    Thomas sweep.
 
-    ``dl[i]`` multiplies ``x[i-1]`` (``dl[0]`` unused), ``du[i]`` multiplies
-    ``x[i+1]`` (``du[-1]`` unused); ``b`` is read as float64, no input is
-    modified.  A system of at most ``SWEEP_ROWS`` rows is solved by the
-    sweep alone, bitwise as the float64 Thomas elimination; a larger one is
+    ``tridiag_solve(e, d, b)``: row ``i`` reads ``e[i-1] x[i-1] + d[i] x[i]
+    + e[i] x[i+1] = b[i]``, with ``n`` entries of ``d`` and ``b`` and
+    ``n - 1`` of ``e``; ``b`` is read as float64, no input is modified.  A
+    system of at most ``SWEEP_ROWS`` rows is solved by the sweep alone,
+    bitwise as the float64 symmetric Thomas elimination; a larger one is
     halved level by level first and its eliminated rows are recovered after
     the sweep.  A zero pivot raises ``ZeroDivisionError``; one met by the
     reduction names its row.
+
+    ``tridiag_solve(dl, d, du, b)`` takes a general system (``dl[i]``
+    multiplies ``x[i-1]``, ``du[i]`` multiplies ``x[i+1]``, ``dl[0]`` and
+    ``du[-1]`` unused) and scales its rows to the symmetric form first; see
+    :func:`_symmetrized`.
     """
+    e, d, b = _symmetrized(*system) if len(system) == 4 else system
     b = np.asarray(b, dtype=np.float64)
-    a = np.array(dl, dtype=np.float64)
-    c = np.array(du, dtype=np.float64)
-    a[0] = c[-1] = 0.0  # the unused corners take no part in the reduction
+    e = np.asarray(e, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     levels, stride = [], 1
     while d.size > SWEEP_ROWS:
-        # even rows stay; even row 2k absorbs odd rows 2k - 1 and 2k + 1
-        ne, no = (d.size + 1) // 2, d.size // 2
-        ao, do, co, bo = odd = a[1::2], d[1::2], c[1::2], b[1::2]
+        # even rows stay; odd row 2k + 1, coupled to 2k by e[2k] and to
+        # 2k + 2 by e[2k + 1], is eliminated into both, so the coupling of
+        # the even rows 2k and 2k + 2 is e[2k] e[2k + 1] / -d[2k + 1] from
+        # either side: the Schur complement stays symmetric
+        do = d[1::2]
         if not do.all():
             row = stride * (2 * int(np.argmin(do != 0.0)) + 1)
             raise ZeroDivisionError(f"zero pivot in row {row}")
-        alpha = -a[2::2] / do[:ne - 1]
-        gamma = -c[:2 * no:2] / do
-        a, d, c, b = np.zeros(ne), d[::2].copy(), np.zeros(ne), b[::2].copy()
-        a[1:] = alpha * ao[:ne - 1]
-        d[1:] += alpha * co[:ne - 1]
-        d[:no] += gamma * ao
-        c[:no] = gamma * co
-        b[1:] += alpha * bo[:ne - 1]
-        b[:no] += gamma * bo
-        levels.append(odd)
+        r = np.divide(-1.0, do)
+        el, er, bo = e[::2], e[1::2], b[1::2]
+        no, m = do.size, er.size
+        f, g = el * r, er * r[:m]
+        d = d[::2].copy()
+        d[:no] += el * f
+        d[1:] += er * g
+        b = b[::2].copy()
+        b[:no] += f * bo
+        b[1:] += g * bo[:m]
+        e = f[:m] * er
+        levels.append((el, er, r, bo))
         stride *= 2
-    x = _sweep(a, d, c, b)
-    for ao, do, co, bo in reversed(levels):
-        ne, no = x.size, do.size
-        xo = bo - ao * x[:no]
-        xo[:ne - 1] -= co[:ne - 1] * x[1:]
-        xo /= do
-        xe, x = x, np.empty(ne + no)
+    x = _sweep(e, d, b)
+    for el, er, r, bo in reversed(levels):
+        xo = el * x[:r.size]
+        xo[:er.size] += er * x[1:]
+        xo -= bo
+        xo *= r
+        xe, x = x, np.empty(x.size + r.size)
         x[::2], x[1::2] = xe, xo
     return x
 
 
-def _sweep(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-           b: np.ndarray) -> np.ndarray:
-    """The Thomas elimination of ``tridiag_solve``'s system, float64 ``b``.
+def _symmetrized(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a general system scaled to the symmetric ``(e, d, b)``.
+
+    Row ``i + 1`` is scaled by ``s[i + 1] = s[i] du[i] / dl[i + 1]`` with
+    ``s[0] = 1``, which leaves the solution as it is; a ``ValueError``
+    unless every scale is finite and nonzero, so every coupling must be.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    with np.errstate(all="ignore"):  # refused below
+        s = np.cumprod(np.r_[1.0, np.divide(du[:-1], dl[1:])])
+    if not (np.all(np.isfinite(s)) and s.all()):
+        raise ValueError("a general tridiagonal system needs couplings that "
+                         "scale it to a symmetric one")
+    return s[:-1] * du[:-1], s * d, s * np.asarray(b, dtype=np.float64)
+
+
+def _sweep(e: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Thomas elimination of ``tridiag_solve``'s symmetric system,
+    float64 ``b``.
 
     The sweep is sequential, so it runs on Python floats: they are IEEE
     doubles and each step is the float64 elimination's operation in its
     order, so the result is bitwise the same, about four times faster than
     on numpy scalars.
     """
-    c, dd, x = du.tolist(), d.tolist(), b.tolist()
+    c, dd, x = e.tolist(), d.tolist(), b.tolist()
     piv, y = dd[0], x[0]
-    for i, (a, cl) in enumerate(zip(dl.tolist()[1:], c), 1):
+    for i, a in enumerate(c, 1):
         m = a / piv
-        dd[i] = piv = dd[i] - m * cl
+        dd[i] = piv = dd[i] - m * a
         x[i] = y = x[i] - m * y
     x[-1] = y = y / piv
     for i in range(len(x) - 2, -1, -1):

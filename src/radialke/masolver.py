@@ -26,13 +26,15 @@ weight: the fibers of a family share one equation up to their twist.
 
 Solutions are found by damped Newton iteration on the bounded correction
 ``v = u - u_ref`` with discrete Neumann conditions ``v'(+-T) = 0``.  Each
-step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``;
-damping halves the step until the residual decreases, which for this
-monotone semilinear problem converges from any bounded start.  Chained
-solves therefore start from a prediction instead of the flat ``v = 0`` (the
-predictor of a predictor-corrector continuation, with Newton as the
-corrector): :func:`polynomial_start`, the Lagrange extrapolation of the
-solved neighbours in the chain's parameter.  That parameter is ``c^m`` on
+step solves the tridiagonal system ``(D^2 - diag(density)) dv = -residual``
+in symmetric form, its Neumann rows scaled by ``-1/h^2``, with the solved
+density computed once per iterate; damping halves the step until the
+residual decreases, which for this monotone semilinear problem converges
+from any bounded start.  Chained solves therefore start from a prediction
+instead of the flat ``v = 0`` (the predictor of a predictor-corrector
+continuation, with Newton as the corrector): :func:`polynomial_start`, the
+Lagrange extrapolation of the solved neighbours in the chain's parameter,
+one product of its weights with the stored potentials.  That parameter is ``c^m`` on
 the p-step iteration, ``delta + eps`` on the regularization diagonal and the
 coupling ``exp(s)`` along the base of a family.  Every solve stops as soon
 as a full Newton step falls to the rounding floor (``STOP_FACTOR``).
@@ -301,17 +303,18 @@ class SolveReport:
 
 
 def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
-                    density: np.ndarray) -> np.ndarray:
+                    rho: np.ndarray) -> np.ndarray:
     """Residual of the normal form at the bounded correction ``v``.
 
-    Interior rows are ``v'' + curvature - density * exp(v)``, with
-    ``curvature`` the background's and ``density`` the fixed measure of
+    Interior rows are ``v'' + curvature - rho``, with ``curvature`` the
+    background's and ``rho = density * exp(v)`` the solved density, where
+    ``density`` is the fixed measure of
     :meth:`MAProblem.log_density_at_background`; the two end rows are the
-    discrete Neumann conditions.
+    discrete Neumann conditions ``v[0] - v[1]`` and ``v[-1] - v[-2]``.
     """
     r = np.empty(v.size)
     r[1:-1] = ((v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-               + curvature[1:-1] - density[1:-1] * np.exp(v[1:-1]))
+               + curvature[1:-1] - rho[1:-1])
     r[0] = v[0] - v[1]
     r[-1] = v[-1] - v[-2]
     return r
@@ -324,11 +327,12 @@ def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
     potentials ``solved`` (oldest first, solved at ``params``) evaluated at
     ``at``; the flat start (``None``) for an empty chain.
 
-    It is summed as ``solved[-1]`` plus weighted differences to it (the
-    weights add up to 1), so one potential is returned as it is and
-    identical potentials come back unchanged.  An ``at`` equal to a node
-    returns the latest potential solved there, the interpolant's own value,
-    which also holds when nodes repeat (the p-step chain at ``p = 1``).
+    It is summed as ``solved[-1]`` plus one product of the Lagrange weights
+    with the differences to it (the weights add up to 1), so one potential
+    is returned as it is and identical potentials come back unchanged.  An
+    ``at`` equal to a node returns the latest potential solved there, the
+    interpolant's own value, which also holds when nodes repeat (the p-step
+    chain at ``p = 1``).
     """
     if not solved:
         return None
@@ -337,10 +341,19 @@ def polynomial_start(solved: Sequence[np.ndarray], params: Sequence[float],
     at = float(at)
     if at in x:
         return pts[len(x) - 1 - x[::-1].index(at)]
-    out = np.array(pts[-1], dtype=np.float64)
-    for i in range(len(pts) - 1):
-        w = math.prod((at - o) / (x[i] - o) for k, o in enumerate(x) if k != i)
-        out += w * (pts[i] - pts[-1])
+    if len(pts) == 1:
+        return np.array(pts[0], dtype=np.float64)
+    w = []
+    for i, xi in enumerate(x[:-1]):
+        wi = 1.0
+        for k, o in enumerate(x):
+            if k != i:
+                wi *= (at - o) / (xi - o)
+        w.append(wi)
+    diffs = np.array(pts[:-1], dtype=np.float64)
+    diffs -= pts[-1]
+    out = np.array(w) @ diffs
+    out += pts[-1]
     return out
 
 
@@ -357,39 +370,49 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
     is taken only if it lowers the residual, and the solve stops there
     without a damping sweep.  Any other step is halved until the residual
     decreases, and the solve stops when no halving down to ``1e-10`` does.
+    The residual alone cannot certify the floor, so the step is solved: at
+    N 1024 and k 4, smooth and with 1/2 at zero, ``||J^-1||`` is 891 and
+    949 in the sup norm and the converged residual 6.5e-14 and 1.1e-13, so
+    ``||J^-1|| ||r||`` bounds the step only by 5.8e-11 and 1.0e-10, against
+    a floor of 2.1e-12 and 2.2e-12.
     Raises :class:`ConvergenceError` unless the residual ends within ``tol``.
+
+    The Newton matrix ``D^2 - diag(density * e^v)`` is solved in symmetric
+    form: both Neumann rows are scaled by ``-1/h^2``, so row 0 reads
+    ``(-v[0] + v[1]) / h^2`` and shares its off-diagonal with row 1.  The
+    solved density ``density * e^v`` is computed once per iterate and
+    serves the residual, the next Jacobian diagonal and the final trapezoid
+    integral.
     """
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
     grid = prob.grid
     h = grid.spacing
-    n = grid.node_count
+    h2 = h**2
     chi_curv = prob.background.curvature_profile()
     g = np.exp(prob.log_density_at_background())
 
     # a copy: the report freezes its potential in place
-    v = np.zeros(n) if v0 is None else np.array(v0, dtype=np.float64)
-    res = newton_residual(v, h, chi_curv, g)
+    v = np.zeros(grid.node_count) if v0 is None else np.array(v0, dtype=np.float64)
+    rho = g * np.exp(v)
+    res = newton_residual(v, h, chi_curv, rho)
     rnorm = float(np.max(np.abs(res)))
-    dl = np.full(n, 1.0 / h**2)
-    du = np.full(n, 1.0 / h**2)
-    dl[0] = 0.0
-    dl[-1] = -1.0
-    du[0] = -1.0
-    du[-1] = 0.0
+    e = np.full(grid.node_count - 1, 1.0 / h2)
     iters = 0
     while iters < MAX_NEWTON_ITER:
-        diag = np.empty(n)
-        diag[1:-1] = -2.0 / h**2 - g[1:-1] * np.exp(v[1:-1])
-        diag[0] = 1.0
-        diag[-1] = 1.0
-        step = tridiag_solve(dl, diag, du, -res)
+        diag = -2.0 / h2 - rho
+        diag[0] = diag[-1] = -1.0 / h2
+        rhs = -res
+        rhs[0] = res[0] / h2
+        rhs[-1] = res[-1] / h2
+        step = tridiag_solve(e, diag, rhs)
         # a step at the rounding floor is taken whole or not at all
         at_floor = np.max(np.abs(step)) <= STOP_FACTOR * (1.0 + np.max(np.abs(v)))
         alpha, improved = 1.0, False
         while alpha > 1e-10:
             v_new = v + alpha * step
-            res_new = newton_residual(v_new, h, chi_curv, g)
+            rho_new = g * np.exp(v_new)
+            res_new = newton_residual(v_new, h, chi_curv, rho_new)
             rnorm_new = float(np.max(np.abs(res_new)))
             if rnorm_new < rnorm:
                 improved = True
@@ -399,7 +422,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
             alpha *= 0.5
         if improved:
             iters += 1
-            v, res, rnorm = v_new, res_new, rnorm_new
+            v, rho, res, rnorm = v_new, rho_new, res_new, rnorm_new
         if at_floor or not improved:
             break  # rounding floor reached
     if not rnorm <= tol:  # a NaN residual fails too
@@ -407,7 +430,7 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
             f"Newton stalled at residual {rnorm:.3e} after {iters} iterations "
             f"(tol {tol:.1e})", residual=rnorm)
 
-    integral = float(np.sum(grid.trapezoid_weights * (g * np.exp(v))))
+    integral = float(np.sum(grid.trapezoid_weights * rho))
     return SolveReport(prob, v, iters, rnorm, integral)
 
 

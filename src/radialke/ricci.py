@@ -89,20 +89,21 @@ def ricci_step(state: RicciState, tol: float = DEFAULT_TOL) -> RicciState:
     """Advance the iteration by one solve against the current weight.
 
     The solve starts from the :func:`polynomial_start` through the weights
-    so far, as corrections to the step's background, in ``c^m`` with ``c``
-    the coupling ``(p-1)/p``: the constant mode of the iteration is affine
-    in ``c^m``.  That is 0 at m = 0; at ``p = 1`` every ``c^m`` with
-    m >= 1 is 0, so each later step starts from the previous solution.  The
-    next state's problem is this step's, coupled against the new weight.
+    so far in ``c^m``, with ``c`` the coupling ``(p-1)/p``: the constant
+    mode of the iteration is affine in ``c^m``.  The interpolated weight
+    less the step's background is the start, the interpolant of the
+    corrections to it, because the Lagrange weights add up to 1.  That is 0
+    at m = 0; at ``p = 1`` every ``c^m`` with m >= 1 is 0, so each later
+    step starts from the previous solution.  The next state's problem is
+    this step's, coupled against the new weight.
     """
     prob = state.problem
     chain = state.earlier + (state.weight.values,)
     c = prob.coupling
     first = state.m + 1 - len(chain)
-    v0 = polynomial_start([w - prob.background.values for w in chain],
-                          [c ** j for j in range(first, state.m + 1)],
+    w0 = polynomial_start(chain, [c ** j for j in range(first, state.m + 1)],
                           c ** (state.m + 1))
-    rep = solve_ke_ode(prob, tol=tol, v0=v0)
+    rep = solve_ke_ode(prob, tol=tol, v0=w0 - prob.background.values)
     return RicciState(state.m + 1, replace(prob, prev=rep.solution), rep,
                       chain[1 - POLY_POINTS:])
 
@@ -116,10 +117,10 @@ def fixed_point_residual(state: RicciState) -> float:
     count; the Neumann end rows belong to the discretization.
     """
     prob = state.problem
-    res = newton_residual(state.weight.values - prob.background.values,
-                          prob.grid.spacing,
+    v = state.weight.values - prob.background.values
+    res = newton_residual(v, prob.grid.spacing,
                           prob.background.curvature_profile(),
-                          np.exp(prob.log_density_at_background()))
+                          np.exp(prob.log_density_at_background()) * np.exp(v))
     return float(np.max(np.abs(res[1:-1])))
 
 

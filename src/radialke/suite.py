@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -295,6 +295,13 @@ CRITERIA: tuple[tuple[int, str, Callable], ...] = (
 )
 
 
+def check_criteria(ids: Iterable[int]) -> None:
+    """Refuse criterion ids that name no acceptance criterion."""
+    unknown = set(ids) - {cid for cid, _, _ in CRITERIA}
+    if unknown:
+        raise ConfigurationError(f"unknown criteria: {sorted(unknown)}")
+
+
 def run_criteria(ids: Optional[list[int]] = None,
                  seed: Optional[int] = None) -> list[CriterionResult]:
     """Run the selected acceptance criteria (all by default) in order.
@@ -303,10 +310,8 @@ def run_criteria(ids: Optional[list[int]] = None,
     checks and is recorded in their details.
     """
     cache = {} if seed is None else {"seed": int(seed)}
+    check_criteria(ids or ())
     wanted = set(ids) if ids else {cid for cid, _, _ in CRITERIA}
-    unknown = wanted - {cid for cid, _, _ in CRITERIA}
-    if unknown:
-        raise ConfigurationError(f"unknown criteria: {sorted(unknown)}")
     results = []
     for cid, name, fn in CRITERIA:
         if cid in wanted:

@@ -85,6 +85,13 @@ def test_bad_list_key_is_config_error(tmp_path, capsys, args):
     assert not out.exists()  # rejected before any compute
 
 
+def test_unknown_criterion_refused_by_the_suite_check(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(["suite", "--criteria", "4,99", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "config error: unknown criteria: [99]"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,key", [
     (["solve", "--eps", "-1", "--N", "257"], "eps"),
     (["solve", "--delta", "-0.5", "--N", "257"], "delta"),

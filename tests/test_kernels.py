@@ -9,58 +9,50 @@ from radialke import kernels
 
 
 def _random_tridiag(rng, n):
-    dl = rng.uniform(0.5, 1.5, n)
-    du = rng.uniform(0.5, 1.5, n)
-    d = np.abs(dl) + np.abs(du) + rng.uniform(1.0, 3.0, n)  # diagonally dominant
-    dl[0] = 0.0
-    du[-1] = 0.0
+    e = rng.uniform(0.5, 1.5, n - 1)
+    d = np.r_[e, 0.0] + np.r_[0.0, e] + rng.uniform(1.0, 3.0, n)  # diagonally dominant
     b = rng.normal(size=n)
-    return dl, d, du, b
+    return e, d, b
 
 
-def _dense(dl, d, du):
-    n = d.size
-    a = np.diag(d)
-    a += np.diag(du[:-1], 1)
-    a += np.diag(dl[1:], -1)
-    return a
+def _dense(e, d):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def test_tridiag_against_dense_solve():
     rng = np.random.default_rng(7)
     for n in (3, 17, 256):
-        dl, d, du, b = _random_tridiag(rng, n)
-        x = kernels.tridiag_solve(dl, d, du, b)
-        ref = np.linalg.solve(_dense(dl, d, du), b)
+        e, d, b = _random_tridiag(rng, n)
+        x = kernels.tridiag_solve(e, d, b)
+        ref = np.linalg.solve(_dense(e, d), b)
         np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
 
 
-def _thomas_oracle(dl, d, du, b):
-    # the elimination on numpy float64 scalars, element by element
+def _thomas_oracle(e, d, b):
+    # the symmetric elimination on numpy float64 scalars, element by element
     n = d.size
-    c, dd, x = du.copy(), d.copy(), b.astype(np.float64)
+    dd, x = d.copy(), b.astype(np.float64)
     for i in range(1, n):
-        m = dl[i] / dd[i - 1]
-        dd[i] -= m * c[i - 1]
+        m = e[i - 1] / dd[i - 1]
+        dd[i] -= m * e[i - 1]
         x[i] -= m * x[i - 1]
     x[n - 1] /= dd[n - 1]
     for i in range(n - 2, -1, -1):
-        x[i] = (x[i] - c[i] * x[i + 1]) / dd[i]
+        x[i] = (x[i] - e[i] * x[i + 1]) / dd[i]
     return x
 
 
 def _newton_system(rng, n):
     # the shape solve_ke_ode assembles: second differences minus a positive
-    # density on the interior, Neumann rows at both ends.  The density is
-    # bounded below so the condition number stays near 1/h^2 and two stable
-    # solvers agree to 1e-12; solve_ke_ode's decaying densities reach 1e7.
+    # density on the interior, Neumann rows at both ends scaled by -1/h^2 to
+    # keep the matrix symmetric.  The density is bounded below so the
+    # condition number stays near 1/h^2 and two stable solvers agree to
+    # 1e-12; solve_ke_ode's decaying densities reach 1e7.
     h = 60.0 / (n - 1)
-    dl = np.full(n, 1.0 / h**2)
-    du = np.full(n, 1.0 / h**2)
-    dl[0], dl[-1], du[0], du[-1] = 0.0, -1.0, -1.0, 0.0
+    e = np.full(n - 1, 1.0 / h**2)
     d = -2.0 / h**2 - rng.uniform(0.5, 2.0, n)
-    d[0] = d[-1] = 1.0
-    return dl, d, du, rng.normal(size=n)
+    d[0] = d[-1] = -1.0 / h**2
+    return e, d, rng.normal(size=n)
 
 
 #: ``||A x - b|| <= BACKWARD_C eps (||A|| ||x|| + ||b||)`` in the sup norm.
@@ -70,39 +62,37 @@ def _newton_system(rng, n):
 BACKWARD_C = 4.0
 
 
-def _backward_error(dl, d, du, x, b):
+def _backward_error(e, d, x, b):
     """Normwise backward error of ``x`` in units of ``eps``."""
     r = d * x - b
-    r[1:] += dl[1:] * x[:-1]
-    r[:-1] += du[:-1] * x[1:]
-    a_norm = np.max(np.abs(d) + np.abs(np.r_[0.0, dl[1:]])
-                    + np.abs(np.r_[du[:-1], 0.0]))
+    r[1:] += e * x[:-1]
+    r[:-1] += e * x[1:]
+    a_norm = np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0]))
     scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
     return float(np.max(np.abs(r)) / (np.finfo(np.float64).eps * scale))
 
 
-def _banded(dl, d, du, b):
+def _banded(e, d, b):
     from scipy.linalg import solve_banded
 
-    return solve_banded((1, 1), np.vstack([np.r_[0.0, du[:-1]], d,
-                                           np.r_[dl[1:], 0.0]]), b)
+    return solve_banded((1, 1), np.vstack([np.r_[0.0, e], d, np.r_[e, 0.0]]), b)
 
 
 @pytest.mark.parametrize("n", [3, 1024, 4096])
 def test_tridiag_newton_system_bitwise_thomas(n):
-    dl, d, du, b = _newton_system(np.random.default_rng(n), n)
-    before = [a.copy() for a in (dl, d, du, b)]
-    x = kernels.tridiag_solve(dl, d, du, b)
-    for a, a0 in zip((dl, d, du, b), before):
+    e, d, b = _newton_system(np.random.default_rng(n), n)
+    before = [a.copy() for a in (e, d, b)]
+    x = kernels.tridiag_solve(e, d, b)
+    for a, a0 in zip((e, d, b), before):
         assert np.array_equal(a, a0)  # inputs untouched
     assert x.dtype == np.float64
-    thomas = _thomas_oracle(dl, d, du, b)
+    thomas = _thomas_oracle(e, d, b)
     if n <= kernels.SWEEP_ROWS:
         assert np.array_equal(x, thomas)
     else:  # reduced first: as stable as the sweep, not bitwise the same
-        assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
-        assert _backward_error(dl, d, du, thomas, b) <= BACKWARD_C
-    ref = _banded(dl, d, du, b)
+        assert _backward_error(e, d, x, b) <= BACKWARD_C
+        assert _backward_error(e, d, thomas, b) <= BACKWARD_C
+    ref = _banded(e, d, b)
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
@@ -117,18 +107,22 @@ _REDUCTION_SIZES = [3, kernels.SWEEP_ROWS, kernels.SWEEP_ROWS + 1,
 @pytest.mark.parametrize("shape", ["random", "newton"])
 def test_tridiag_reduction_sizes(n, shape):
     rng = np.random.default_rng(n)
-    dl, d, du, b = (_random_tridiag if shape == "random" else _newton_system)(rng, n)
-    x = kernels.tridiag_solve(dl, d, du, b)
-    ref = _banded(dl, d, du, b)
+    e, d, b = (_random_tridiag if shape == "random" else _newton_system)(rng, n)
+    x = kernels.tridiag_solve(e, d, b)
+    ref = _banded(e, d, b)
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
-    assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+    assert _backward_error(e, d, x, b) <= BACKWARD_C
     if n <= 2 * kernels.SWEEP_ROWS + 1:
-        dense = np.linalg.solve(_dense(dl, d, du), b)
+        dense = np.linalg.solve(_dense(e, d), b)
         np.testing.assert_allclose(x, dense, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(dense)))
-    # the unused corners are never read
-    dl[0] = du[-1] = np.nan
-    assert np.array_equal(kernels.tridiag_solve(dl, d, du, b), x)
+    # the general layout of the same system, its rows scaled away from
+    # symmetry: the same solution, the unused corners never read
+    s = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    dl, du = np.r_[np.nan, e] * s, np.r_[e, np.nan] * s
+    general = kernels.tridiag_solve(dl, d * s, du, b * s)
+    np.testing.assert_allclose(general, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,15 +130,13 @@ def test_tridiag_reduction_sizes(n, shape):
 def test_tridiag_random_diagonally_dominant(n, seed):
     # random signs and a dominance margin down to 5% of the row's off-diagonals
     rng = np.random.default_rng(seed)
-    dl = rng.uniform(-1.5, 1.5, n)
-    du = rng.uniform(-1.5, 1.5, n)
-    dl[0] = du[-1] = 0.0
-    d = ((np.abs(dl) + np.abs(du)) * rng.uniform(1.05, 2.0, n) + 1e-3) \
-        * rng.choice([-1.0, 1.0], n)
+    e = rng.uniform(-1.5, 1.5, n - 1)
+    d = ((np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0])) * rng.uniform(1.05, 2.0, n)
+         + 1e-3) * rng.choice([-1.0, 1.0], n)
     b = rng.normal(size=n)
-    x = kernels.tridiag_solve(dl, d, du, b)
-    assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
-    ref = _banded(dl, d, du, b)
+    x = kernels.tridiag_solve(e, d, b)
+    assert _backward_error(e, d, x, b) <= BACKWARD_C
+    ref = _banded(e, d, b)
     np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
 
@@ -155,18 +147,18 @@ def test_tridiag_decaying_density_newton_system():
     n = 2049
     t = np.linspace(-30.0, 30.0, n)
     h = t[1] - t[0]
-    dl, _, du, b = _newton_system(np.random.default_rng(1), n)
-    e = np.exp(-np.abs(t))
-    d = -2.0 / h**2 - 2.0 * e / (1.0 + e) ** 2
-    d[0] = d[-1] = 1.0
-    inv = _banded(dl, d, du, np.eye(n))
-    cond = float(np.max(np.abs(_dense(dl, d, du)).sum(axis=1))
+    e, _, b = _newton_system(np.random.default_rng(1), n)
+    rho = np.exp(-np.abs(t))
+    d = -2.0 / h**2 - 2.0 * rho / (1.0 + rho) ** 2
+    d[0] = d[-1] = -1.0 / h**2
+    inv = _banded(e, d, np.eye(n))
+    cond = float(np.max(np.abs(_dense(e, d)).sum(axis=1))
                  * np.max(np.abs(inv).sum(axis=1)))
     assert 1e6 < cond < 1e8
-    ref = _banded(dl, d, du, b)
+    ref = _banded(e, d, b)
     eps = np.finfo(np.float64).eps
-    for x in (kernels.tridiag_solve(dl, d, du, b), _thomas_oracle(dl, d, du, b)):
-        assert _backward_error(dl, d, du, x, b) <= BACKWARD_C
+    for x in (kernels.tridiag_solve(e, d, b), _thomas_oracle(e, d, b)):
+        assert _backward_error(e, d, x, b) <= BACKWARD_C
         assert np.max(np.abs(x - ref)) <= 4.0 * eps * cond * np.max(np.abs(ref))
 
 
@@ -177,23 +169,23 @@ def test_tridiag_decaying_density_newton_system():
     (1024, 0, False),    # kept down to the sweep
 ])
 def test_tridiag_zero_pivot_raises(n, row, coupled):
-    dl, d, du, b = _newton_system(np.random.default_rng(n), n)
+    e, d, b = _newton_system(np.random.default_rng(n), n)
     if not coupled:  # a diagonal system keeps the zero at every level
-        dl[:] = du[:] = 0.0
+        e[:] = 0.0
         d[:] = 1.0
     d[row] = 0.0
     with pytest.raises(ZeroDivisionError) as err:
-        kernels.tridiag_solve(dl, d, du, b)
+        kernels.tridiag_solve(e, d, b)
     if n > kernels.SWEEP_ROWS and row:
         assert str(err.value) == f"zero pivot in row {row}"
 
 
 def test_tridiag_integer_rhs_is_read_as_float64():
-    dl, d, du, _ = _newton_system(np.random.default_rng(5), 64)
+    e, d, _ = _newton_system(np.random.default_rng(5), 64)
     b = np.arange(64) - 20
-    x = kernels.tridiag_solve(dl, d, du, b)
+    x = kernels.tridiag_solve(e, d, b)
     assert x.dtype == np.float64
-    assert np.array_equal(x, kernels.tridiag_solve(dl, d, du, b.astype(np.float64)))
+    assert np.array_equal(x, kernels.tridiag_solve(e, d, b.astype(np.float64)))
     assert b.dtype.kind == "i" and b[0] == -20
 
 

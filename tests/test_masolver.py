@@ -184,6 +184,31 @@ def test_newton_stopped_just_past_default_tol_raises(monkeypatch):
     assert ma.solve_ke_ode(prob).residual <= 1e-10
 
 
+@pytest.mark.parametrize("zero", ["0", "1/2"])
+def test_newton_step_solves_the_unscaled_newton_system(monkeypatch, zero):
+    # the step is solved with both Neumann rows scaled by -1/h^2; it must
+    # satisfy the system as assembled, with end rows v[0] - v[1] and
+    # v[-1] - v[-2], to the kernel's normwise backward error of 4 eps
+    grid = geo.make_grid(30.0, 1024)
+    prob = ma.ke_problem(4.0, geo.divisor(zero=zero), grid)
+    steps = []
+    solve = ma.tridiag_solve
+    monkeypatch.setattr(ma, "tridiag_solve",
+                        lambda *args: steps.append(solve(*args)) or steps[-1])
+    ma.solve_ke_ode(prob)
+    x, h = steps[0], grid.spacing  # the first step, from the flat start
+    rho = np.exp(prob.log_density_at_background())
+    b = -ma.newton_residual(np.zeros(x.size), h,
+                            prob.background.curvature_profile(), rho)
+    r = np.empty(x.size)
+    r[1:-1] = (x[:-2] - 2.0 * x[1:-1] + x[2:]) / h**2 - rho[1:-1] * x[1:-1]
+    r[0], r[-1] = x[0] - x[1], x[-1] - x[-2]
+    r -= b
+    a_norm = 4.0 / h**2 + np.max(rho[1:-1])
+    scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
+    assert np.max(np.abs(r)) <= 4.0 * np.finfo(np.float64).eps * scale
+
+
 def test_nan_twist_raises_instead_of_returning_nan():
     # a NaN residual is not within tol; it used to come back as a report
     # with residual and integral NaN after 0 iterations
