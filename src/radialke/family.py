@@ -166,7 +166,8 @@ class FiberFamily:
     least 3 nodes: row ``i`` of ``twists``, a read-only (fibers x fiber
     nodes) matrix, is the profile of the twist over ``base_nodes[i]``; every
     twist has slopes (0, k) and degree k.  ``problem``, the fiber equation,
-    is fiber 0's :func:`ke_problem`; the fiber grid is its grid."""
+    is fiber 0's :func:`ke_problem`, keeping the density head that every
+    fiber shares; the fiber grid is its grid."""
 
     recipe: FamilyRecipe
     base_nodes: np.ndarray
@@ -236,7 +237,8 @@ def build_family(recipe: FamilyRecipe, base_nodes: np.ndarray | None = None,
     coupling = np.array([math.exp(s) * recipe.amplitude for s in base])
     twists = base_fs + coupling[:, None] * bump
     problem = ke_problem(recipe.k, recipe.divisor, grid,
-                         twist=RadialWeight(grid, twists[0], 0.0, recipe.k, recipe.k))
+                         twist=RadialWeight(grid, twists[0], 0.0, recipe.k, recipe.k)
+                         ).with_density_head()
 
     cert = hessian_certificate(twists.T, grid.spacing, float(base[1] - base[0]))
     if not cert["passed"] and not bypass_precheck:

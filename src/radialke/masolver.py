@@ -22,7 +22,14 @@ A ``ke_problem`` is rebuilt at other (delta, eps) by
 :meth:`MAProblem.with_regularization` and with another twist by
 :meth:`MAProblem.with_twist`.  The latter assembles only the twist slot and
 keeps the background, whose curvature mass is checked once per background
-weight: the fibers of a family share one equation up to their twist.
+weight: the fibers of a family share one equation up to their twist.  A
+p-step problem goes to the next step by :meth:`MAProblem.with_prev`, a copy
+that checks only what the new iterate can change.  A problem that is handed
+on many times, a p-step chain's and a family's fiber equation, keeps its
+iterate-free density head ``log 2 pi + frame logs + background``, built once
+by :meth:`MAProblem.with_density_head`; ``with_prev`` and ``with_twist``
+pass it on.  Any other problem builds its head where its density is read, so
+no head outlives a problem solved once.
 
 Solutions are found by damped Newton iteration on the bounded correction
 ``v = u - u_ref`` with discrete Neumann conditions ``v'(+-T) = 0``.  Each
@@ -42,8 +49,9 @@ as a full Newton step falls to the rounding floor (``STOP_FACTOR``).
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,8 +104,10 @@ class MAProblem:
     into it.  ``coupling``/``prev`` add the ``- c * u_prev`` term; ``prev =
     None`` stands for the background itself, so an uncoupled problem is the
     coupled one at ``coupling = 0``, where that term adds a signed zero.
-    The divisor frame logs are not stored: the twist slot's are built with
-    it, and :meth:`log_density_at_background` builds the density's.
+    The twist slot's divisor frame logs are built with it; the density's
+    enter its iterate-free head ``log 2 pi + frame logs + background``,
+    which :meth:`log_density_at_background` builds unless the problem keeps
+    it (``density_head``, see :meth:`with_density_head`).
     """
 
     background: RadialWeight
@@ -109,6 +119,11 @@ class MAProblem:
     prev: Optional[RadialWeight] = None
     recipe: Optional[Recipe] = None
     mass: float = field(init=False)
+    #: the density head, kept only by a problem that is handed on many times;
+    #: constructors and ``replace`` leave it None, so it never outlives the
+    #: inputs it was built from
+    density_head: Optional[np.ndarray] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.coupling < 1.0):
@@ -145,14 +160,44 @@ class MAProblem:
             raise ConfigurationError(
                 f"density exponent slope {hi} at t -> +inf is not integrable")
 
-    def log_density_at_background(self) -> np.ndarray:
-        """Log of the fixed measure; the solved density is this plus the
-        bounded potential."""
-        t = self.grid.nodes
+    def _head(self) -> np.ndarray:
+        if self.density_head is not None:
+            return self.density_head
         return (math.log(2.0 * math.pi)
                 + divisor_frame_log(self.divisor, self.grid, self.eps)
-                + self.background.values - self.twist.values + t
+                + self.background.values)
+
+    def log_density_at_background(self) -> np.ndarray:
+        """Log of the fixed measure, ``((head - twist) + t) - c * prev``;
+        the solved density is this plus the bounded potential."""
+        return (self._head() - self.twist.values + self.grid.nodes
                 - self.coupling * self.prev.values)
+
+    def with_density_head(self) -> "MAProblem":
+        """This problem keeping its density head, built once here for a
+        problem that is handed on many times: :meth:`with_prev` and
+        :meth:`with_twist` keep every input of the head and pass it on."""
+        new = copy.copy(self)
+        object.__setattr__(new, "density_head", readonly_array(self._head()))
+        return new
+
+    def with_prev(self, prev: RadialWeight) -> "MAProblem":
+        """This problem coupled against ``prev``, equal to ``replace(self,
+        prev=prev)`` without checking again what ``prev`` cannot change:
+        ``prev`` must lie on the problem's grid and carry the slopes of the
+        current ``prev``, the only inputs of the slope check it replaces, so
+        the copy keeps the checked mass and any density head."""
+        if (prev.grid is not self.grid
+                and not np.array_equal(prev.grid.nodes, self.grid.nodes)):
+            raise ConfigurationError("previous iterate lives on another grid")
+        old = self.prev
+        if prev.slope_minus != old.slope_minus or prev.slope_plus != old.slope_plus:
+            raise ConfigurationError(
+                f"previous iterate has slopes ({prev.slope_minus}, "
+                f"{prev.slope_plus}), not ({old.slope_minus}, {old.slope_plus})")
+        new = copy.copy(self)
+        object.__setattr__(new, "prev", prev)
+        return new
 
     def _ke_recipe(self, action: str) -> Recipe:
         r = self.recipe
@@ -172,12 +217,14 @@ class MAProblem:
     def with_twist(self, twist: RadialWeight) -> "MAProblem":
         """This problem with another raw twist, equal to the
         :func:`ke_problem` built with it; requires a :func:`ke_problem`
-        recipe.  The background and its checked mass are shared, only the
-        twist slot is assembled again."""
+        recipe.  The background, its checked mass and any density head are
+        shared, only the twist slot is assembled again."""
         r = self._ke_recipe("given another twist")
         slot = _twist_slot(twist, self.divisor, self.grid, self.eps, self.delta)
-        return MAProblem(self.background, slot, self.divisor, eps=self.eps,
+        prob = MAProblem(self.background, slot, self.divisor, eps=self.eps,
                          delta=self.delta, recipe=Recipe(r.k, twist))
+        object.__setattr__(prob, "density_head", self.density_head)
+        return prob
 
 
 def _regularization_check(eps: float, delta: float) -> None:
@@ -291,7 +338,8 @@ class SolveReport:
     def solution(self) -> RadialWeight:
         """Background plus potential, with the background's slopes and degree."""
         bg = self.problem.background
-        return replace(bg, values=bg.values + self.potential, curvature=None)
+        return RadialWeight(bg.grid, bg.values + self.potential,
+                            bg.slope_minus, bg.slope_plus, bg.degree)
 
     @property
     def mass_defect(self) -> float:
@@ -313,8 +361,15 @@ def newton_residual(v: np.ndarray, h: float, curvature: np.ndarray,
     discrete Neumann conditions ``v[0] - v[1]`` and ``v[-1] - v[-2]``.
     """
     r = np.empty(v.size)
-    r[1:-1] = ((v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-               + curvature[1:-1] - rho[1:-1])
+    # ((v[:-2] - 2 v[1:-1] + v[2:]) / h^2 + curvature - rho) in place, in
+    # that operation order
+    mid = r[1:-1]
+    np.multiply(v[1:-1], 2.0, out=mid)
+    np.subtract(v[:-2], mid, out=mid)
+    mid += v[2:]
+    mid /= h**2
+    mid += curvature[1:-1]
+    mid -= rho[1:-1]
     r[0] = v[0] - v[1]
     r[-1] = v[-1] - v[-2]
     return r
@@ -387,33 +442,36 @@ def solve_ke_ode(prob: MAProblem, tol: float = DEFAULT_TOL, *,
     if not (tol > 0):
         raise ConfigurationError(f"tolerance must be positive, got {tol}")
     grid = prob.grid
+    n = grid.node_count
     h = grid.spacing
     h2 = h**2
     chi_curv = prob.background.curvature_profile()
     g = np.exp(prob.log_density_at_background())
 
     # a copy: the report freezes its potential in place
-    v = np.zeros(grid.node_count) if v0 is None else np.array(v0, dtype=np.float64)
+    v = np.zeros(n) if v0 is None else np.array(v0, dtype=np.float64)
     rho = g * np.exp(v)
     res = newton_residual(v, h, chi_curv, rho)
-    rnorm = float(np.max(np.abs(res)))
-    e = np.full(grid.node_count - 1, 1.0 / h2)
+    rnorm = float(np.abs(res).max())
+    e = np.full(n - 1, 1.0 / h2)
+    # the Newton system's diagonal and right side, refilled every iterate
+    diag, rhs = np.empty(n), np.empty(n)
     iters = 0
     while iters < MAX_NEWTON_ITER:
-        diag = -2.0 / h2 - rho
+        np.subtract(-2.0 / h2, rho, out=diag)
         diag[0] = diag[-1] = -1.0 / h2
-        rhs = -res
+        np.negative(res, out=rhs)
         rhs[0] = res[0] / h2
         rhs[-1] = res[-1] / h2
         step = tridiag_solve(e, diag, rhs)
         # a step at the rounding floor is taken whole or not at all
-        at_floor = np.max(np.abs(step)) <= STOP_FACTOR * (1.0 + np.max(np.abs(v)))
+        at_floor = np.abs(step).max() <= STOP_FACTOR * (1.0 + np.abs(v).max())
         alpha, improved = 1.0, False
         while alpha > 1e-10:
-            v_new = v + alpha * step
+            v_new = v + step if alpha == 1.0 else v + alpha * step
             rho_new = g * np.exp(v_new)
             res_new = newton_residual(v_new, h, chi_curv, rho_new)
-            rnorm_new = float(np.max(np.abs(res_new)))
+            rnorm_new = float(np.abs(res_new).max())
             if rnorm_new < rnorm:
                 improved = True
                 break

@@ -8,12 +8,13 @@ for every ``p`` and recovers the singular Kahler-Einstein weight once the
 canonical divisor part is added back.
 
 Only the previous iterate changes between steps, so a chain assembles its
-step problem once and each step hands it on with the new iterate.
+step problem and its density head once, and each step hands both on with
+the new iterate (:meth:`MAProblem.with_prev`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -80,9 +81,10 @@ def initial_state(k: float, divisor: DivisorData | None = None, p: int = 1,
                   delta: float = 0.0,
                   twist: RadialWeight | None = None) -> RicciState:
     """m = 0 state: the chain's one :func:`ricci_problem`, coupled against
-    its own background ``w_0 = p * phi_A``."""
+    its own background ``w_0 = p * phi_A`` and keeping its density head,
+    which every step hands on."""
     return RicciState(0, ricci_problem(k, divisor, p, grid=grid, eps=eps,
-                                       delta=delta, twist=twist))
+                                       delta=delta, twist=twist).with_density_head())
 
 
 def ricci_step(state: RicciState, tol: float = DEFAULT_TOL) -> RicciState:
@@ -104,7 +106,7 @@ def ricci_step(state: RicciState, tol: float = DEFAULT_TOL) -> RicciState:
     w0 = polynomial_start(chain, [c ** j for j in range(first, state.m + 1)],
                           c ** (state.m + 1))
     rep = solve_ke_ode(prob, tol=tol, v0=w0 - prob.background.values)
-    return RicciState(state.m + 1, replace(prob, prev=rep.solution), rep,
+    return RicciState(state.m + 1, prob.with_prev(rep.solution), rep,
                       chain[1 - POLY_POINTS:])
 
 

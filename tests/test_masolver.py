@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +207,18 @@ def test_newton_step_solves_the_unscaled_newton_system(monkeypatch, zero):
     a_norm = 4.0 / h**2 + np.max(rho[1:-1])
     scale = a_norm * np.max(np.abs(x)) + np.max(np.abs(b))
     assert np.max(np.abs(r)) <= 4.0 * np.finfo(np.float64).eps * scale
+
+
+@pytest.mark.parametrize("n", [257, 1024])
+def test_newton_residual_is_the_textbook_formula_bit_for_bit(n):
+    # the in-place evaluation must keep the formula's operation order
+    rng = np.random.default_rng(n)
+    v, curvature, rho = rng.normal(size=(3, n))
+    h = geo.make_grid(30.0, n).spacing
+    want = np.empty(n)
+    want[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2 + curvature[1:-1] - rho[1:-1]
+    want[0], want[-1] = v[0] - v[1], v[-1] - v[-2]
+    assert np.array_equal(ma.newton_residual(v, h, curvature, rho), want)
 
 
 def test_nan_twist_raises_instead_of_returning_nan():
@@ -435,3 +447,80 @@ def test_diagonal_requires_recipe(grid):
     prob = ma.MAProblem(chi, geo.fs_weight(4.0, grid), geo.DivisorData())
     with pytest.raises(ConfigurationError, match="recipe|constructor"):
         ma.regularized_diagonal(prob, [0.1, 0.05, 0.025], [0.1, 0.05, 0.025])
+
+
+# ---------------------------------------------------------------------------
+# hand-off and the density head
+# ---------------------------------------------------------------------------
+
+HANDED = {
+    "smooth": lambda g: ma.ke_problem(4.0, None, g),
+    "half-zero-p-step": lambda g: ma.ricci_problem(4.0, geo.divisor(zero="1/2"), 3,
+                                                   grid=g),
+}
+
+
+def moved(w, bump=0.25, slope_shift=(0.0, 0.0)):
+    """``w`` plus a bounded bump, its slopes shifted by ``slope_shift``."""
+    t = w.grid.nodes
+    return geo.RadialWeight(w.grid, w.values + bump * np.exp(-t * t),
+                            w.slope_minus + slope_shift[0],
+                            w.slope_plus + slope_shift[1], w.degree)
+
+
+@pytest.mark.parametrize("keep_head", [False, True], ids=["built", "kept"])
+@pytest.mark.parametrize("name", list(HANDED))
+def test_with_prev_equals_replace(name, keep_head):
+    prob = HANDED[name](geo.make_grid(30.0, 257))
+    if keep_head:
+        prob = prob.with_density_head()
+    w = moved(prob.prev)
+    handed, fresh = prob.with_prev(w), replace(prob, prev=w)
+    assert handed.prev is w
+    # every compared field is the very object replace passes or rebuilds
+    for f in fields(ma.MAProblem):
+        if f.compare:
+            assert getattr(handed, f.name) is getattr(fresh, f.name), f.name
+    assert handed.density_head is prob.density_head
+    assert np.array_equal(handed.log_density_at_background(),
+                          fresh.log_density_at_background())
+    if prob.coupling:  # the hand-off moves the density
+        assert not np.array_equal(handed.log_density_at_background(),
+                                  prob.log_density_at_background())
+
+
+@pytest.mark.parametrize("name", list(HANDED))
+def test_with_prev_refuses_what_the_slope_check_would_see(name):
+    grid = geo.make_grid(30.0, 257)
+    prob = HANDED[name](grid).with_density_head()
+    for other in (geo.make_grid(30.0, 513), geo.make_grid(25.0, 257)):
+        w = geo.fs_weight(prob.prev.degree, other)
+        with pytest.raises(ConfigurationError, match="another grid"):
+            prob.with_prev(w)
+    for shift in ((0.5, 0.0), (0.0, -0.5)):
+        with pytest.raises(ConfigurationError, match="slopes"):
+            prob.with_prev(moved(prob.prev, slope_shift=shift))
+
+
+def test_kept_head_never_reaches_a_problem_with_other_inputs():
+    grid = geo.make_grid(30.0, 257)
+    D = geo.divisor(zero="1/2")
+    t = grid.nodes
+    twist = geo.RadialWeight(grid, geo.fs_weight(4.0, grid).values
+                             + 0.05 * np.exp(-t * t), 0.0, 4.0, 4.0)
+    kept = ma.ke_problem(4.0, D, grid).with_density_head()
+    built = ma.ke_problem(4.0, D, grid)
+    fresh_twisted = ma.ke_problem(4.0, D, grid, twist=twist)
+    cases = [
+        (kept.with_regularization(0.05, 0.1),
+         ma.ke_problem(4.0, D, grid, delta=0.05, eps=0.1)),
+        (kept.with_twist(twist), fresh_twisted),
+        (replace(kept, eps=0.1), replace(built, eps=0.1)),
+        (replace(kept, twist=fresh_twisted.twist), fresh_twisted),
+    ]
+    for got, want in cases:
+        assert want.density_head is None
+        assert np.array_equal(got.log_density_at_background(),
+                              want.log_density_at_background())
+        assert not np.array_equal(got.log_density_at_background(),
+                                  kept.log_density_at_background())

@@ -72,6 +72,19 @@ def count_mass_checks(monkeypatch) -> list:
     return calls
 
 
+def count_frame_logs(monkeypatch) -> list:
+    """Count the divisor frame log builds of problems from here on."""
+    calls = []
+    frame_log = ma.divisor_frame_log
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return frame_log(*args, **kwargs)
+
+    monkeypatch.setattr(ma, "divisor_frame_log", counted)
+    return calls
+
+
 def build(name):
     recipe, base, bypass = FAMILIES[name]
     return fam.build_family(recipe, base, GRID_1024, bypass_precheck=bypass)
@@ -267,3 +280,25 @@ def test_one_mass_check_per_ricci_chain(monkeypatch, D):
     checks = count_mass_checks(monkeypatch)
     state, _ = ricci.run_ricci(4.0, D, 3, grid=GRID_1024)
     assert state.m > 2 and len(checks) == 1
+
+
+@pytest.mark.parametrize("steps", [5, 20])
+def test_frame_logs_once_per_ricci_chain(monkeypatch, steps):
+    # the chain's problem keeps its density head and every step hands it
+    # on, so the step count does not matter
+    calls = count_frame_logs(monkeypatch)
+    state, _ = ricci.run_ricci(4.0, geo.divisor(zero="1/2"), 3, m_max=steps,
+                               stop_tol=1e-300, grid=geo.make_grid(30.0, 257))
+    assert state.m == steps and len(calls) <= 2
+
+
+def test_frame_logs_per_family_and_fiber(monkeypatch):
+    # building the family makes fiber 0's twist slot and the density head
+    # that every fiber shares; a solve makes one twist slot per fiber
+    calls = count_frame_logs(monkeypatch)
+    f = build("conic")
+    assert f.base_count == 41 and len(calls) == 2
+    for _ in range(2):
+        calls.clear()
+        fam.solve_fiberwise(f)
+        assert len(calls) == f.base_count
